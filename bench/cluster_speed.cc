@@ -25,6 +25,7 @@
 #include "common/json.h"
 #include "common/rng.h"
 #include "service/net_client.h"
+#include "service/net_server.h"
 #include "simdb/scenarios.h"
 
 namespace optshare {
@@ -37,7 +38,6 @@ using cluster::ClusterRouter;
 using cluster::NodeInfo;
 using cluster::PlacementMap;
 using cluster::RouterOptions;
-using cluster::RouterServer;
 using service::NetClient;
 using service::protocol::Request;
 using service::protocol::RequestOp;
@@ -60,7 +60,7 @@ struct SweepPoint {
 struct Cluster {
   std::vector<std::unique_ptr<ClusterNode>> nodes;
   std::unique_ptr<ClusterRouter> router;
-  std::unique_ptr<RouterServer> front;
+  std::unique_ptr<service::NetServer> front;
 
   ~Cluster() {
     if (front != nullptr) front->Stop();
@@ -110,7 +110,7 @@ std::unique_ptr<Cluster> StartCluster(int num_nodes, int workers) {
   RouterOptions router_options;
   router_options.placement = *bound;
   cluster->router = std::make_unique<ClusterRouter>(router_options);
-  cluster->front = std::make_unique<RouterServer>(cluster->router.get());
+  cluster->front = std::make_unique<service::NetServer>(cluster->router.get());
   Status started = cluster->front->Start();
   if (!started.ok()) {
     std::cerr << "router start failed: " << started.ToString() << "\n";

@@ -1,8 +1,5 @@
 #include "cluster/router.h"
 
-#include <fcntl.h>
-#include <poll.h>
-
 #include <utility>
 
 #include "service/state_store.h"
@@ -13,13 +10,15 @@ using service::NetClient;
 using service::protocol::ErrorResponse;
 using service::protocol::FormatResponseLine;
 using service::protocol::OkResponse;
-using service::protocol::ParseRequestLine;
 using service::protocol::Request;
 using service::protocol::RequestOp;
 using service::protocol::Response;
 
 ClusterRouter::ClusterRouter(RouterOptions options)
-    : options_(std::move(options)), placement_(options_.placement) {}
+    : options_(std::move(options)),
+      placement_(options_.placement),
+      channels_(kWorkers),
+      pool_(kWorkers) {}
 
 PlacementMap ClusterRouter::CurrentPlacement() const {
   std::lock_guard<std::mutex> lock(mu_);
@@ -50,22 +49,30 @@ Result<Response> ClusterRouter::ChannelCall(Channel* channel,
   return Status::Internal("router: unreachable");
 }
 
+bool ClusterRouter::SubmitLine(uint64_t connection_id,
+                               const std::string& line,
+                               service::LineCallback done) {
+  Result<Request> request = service::ParseLine(
+      line, options_.max_request_bytes, max_batch_request_bytes());
+  if (!request.ok()) {
+    done(service::ErrorLine(request.status()));
+    return false;
+  }
+  const bool is_shutdown = request->op == RequestOp::kShutdown;
+  Channel* channel = &channels_[pool_.ShardOf(connection_id)];
+  pool_.Post(connection_id, [this, channel, request = std::move(*request),
+                             done = std::move(done)] {
+    service::DeliverResponse(Route(request, channel), done);
+  });
+  return is_shutdown;
+}
+
 std::string ClusterRouter::RouteLine(const std::string& line,
                                      Channel* channel) {
-  // Parse under the batch cap so a legal v3 batch frame survives; a line
-  // over the plain cap that is NOT a batch still answers the plain-cap
-  // rejection (re-parsing under the plain cap reproduces those bytes).
-  Result<Request> parsed =
-      ParseRequestLine(line, max_batch_request_bytes());
-  if (options_.max_request_bytes > 0 &&
-      line.size() > options_.max_request_bytes &&
-      !(parsed.ok() && parsed->op == RequestOp::kBatch)) {
-    parsed = ParseRequestLine(line, options_.max_request_bytes);
-  }
-  if (!parsed.ok()) {
-    return FormatResponseLine(ErrorResponse("", parsed.status()));
-  }
-  return FormatResponseLine(Route(*parsed, channel));
+  Result<Request> request = service::ParseLine(
+      line, options_.max_request_bytes, max_batch_request_bytes());
+  if (!request.ok()) return service::ErrorLine(request.status());
+  return FormatResponseLine(Route(*request, channel));
 }
 
 Response ClusterRouter::Route(const Request& request, Channel* channel) {
@@ -626,125 +633,15 @@ JsonValue ClusterRouter::InfoJson() const {
                JsonValue::Number(static_cast<double>(
                    stale_reads_.load(std::memory_order_relaxed))));
   obj.Set("routing", std::move(counters));
+  std::lock_guard<std::mutex> lock(transport_mu_);
+  if (transport_info_) obj.Set("transport", transport_info_());
   return obj;
 }
 
-// -- RouterServer ------------------------------------------------------------
-
-namespace {
-
-/// Blocking write of the whole buffer (the fd is in blocking mode; a
-/// would_block can only appear transiently).
-Status WriteAll(int fd, const std::string& data) {
-  size_t off = 0;
-  while (off < data.size()) {
-    Result<net::IoChunk> chunk =
-        net::WriteChunk(fd, data.data() + off, data.size() - off);
-    if (!chunk.ok()) return chunk.status();
-    if (chunk->eof) return Status::Internal("peer closed");
-    if (chunk->would_block) {
-      pollfd pfd{fd, POLLOUT, 0};
-      (void)poll(&pfd, 1, 100);
-      continue;
-    }
-    off += chunk->bytes;
-  }
-  return Status::OK();
-}
-
-}  // namespace
-
-RouterServer::RouterServer(ClusterRouter* router, std::string host,
-                           uint16_t port)
-    : router_(router), host_(std::move(host)), requested_port_(port) {}
-
-RouterServer::~RouterServer() { Stop(); }
-
-Status RouterServer::Start() {
-  if (started_.load()) {
-    return Status::FailedPrecondition("router server already started");
-  }
-  Result<net::Socket> listener = net::ListenTcp(host_, requested_port_);
-  if (!listener.ok()) return listener.status();
-  Result<uint16_t> port = net::BoundPort(*listener);
-  if (!port.ok()) return port.status();
-  listener_ = std::move(*listener);
-  port_ = *port;
-  started_.store(true);
-  accept_thread_ = std::thread([this] { AcceptLoop(); });
-  return Status::OK();
-}
-
-void RouterServer::AcceptLoop() {
-  while (!stop_.load() && !router_->shutdown_requested()) {
-    pollfd pfd{listener_.fd(), POLLIN, 0};
-    const int rc = poll(&pfd, 1, 100);
-    if (rc <= 0) continue;
-    Result<net::Socket> accepted = net::AcceptNonBlocking(listener_);
-    if (!accepted.ok() || !accepted->valid()) continue;
-    // Thread-per-connection with blocking I/O: flip the accepted socket
-    // back to blocking mode.
-    const int flags = fcntl(accepted->fd(), F_GETFL, 0);
-    if (flags >= 0) {
-      (void)fcntl(accepted->fd(), F_SETFL, flags & ~O_NONBLOCK);
-    }
-    std::lock_guard<std::mutex> lock(threads_mu_);
-    connection_threads_.emplace_back(
-        [this, socket = std::make_shared<net::Socket>(
-                   std::move(*accepted))]() mutable {
-          Serve(std::move(*socket));
-        });
-  }
-}
-
-void RouterServer::Serve(net::Socket socket) {
-  ClusterRouter::Channel channel;
-  // Frame under the batch cap so a legal v3 batch frame is never torn;
-  // RouteLine enforces the plain cap on non-batch lines after parsing.
-  net::LineBuffer lines(router_->max_batch_request_bytes());
-  char buf[16384];
-  std::string line;
-  while (!stop_.load()) {
-    pollfd pfd{socket.fd(), POLLIN, 0};
-    const int rc = poll(&pfd, 1, 100);
-    if (rc <= 0) {
-      // Idle: exit once a shutdown has drained this connection's pipeline.
-      if (router_->shutdown_requested()) return;
-      continue;
-    }
-    Result<net::IoChunk> chunk = net::ReadChunk(socket.fd(), buf, sizeof(buf));
-    if (!chunk.ok() || chunk->eof) return;
-    lines.Append(buf, chunk->bytes);
-    for (;;) {
-      const net::LineBuffer::Next next = lines.NextLine(&line);
-      if (next == net::LineBuffer::Next::kNeedMore) break;
-      std::string response_line;
-      if (next == net::LineBuffer::Next::kTooLong) {
-        response_line = FormatResponseLine(ErrorResponse(
-            "", Status::ResourceExhausted("request line exceeds limit")));
-      } else {
-        response_line = router_->RouteLine(line, &channel);
-      }
-      response_line.push_back('\n');
-      if (!WriteAll(socket.fd(), response_line).ok()) return;
-    }
-  }
-}
-
-void RouterServer::Wait() {
-  if (accept_thread_.joinable()) accept_thread_.join();
-  std::lock_guard<std::mutex> lock(threads_mu_);
-  for (std::thread& t : connection_threads_) {
-    if (t.joinable()) t.join();
-  }
-  connection_threads_.clear();
-}
-
-void RouterServer::Stop() {
-  if (!started_.load()) return;
-  stop_.store(true);
-  Wait();
-  listener_.Close();
+void ClusterRouter::SetTransportInfoProvider(
+    std::function<JsonValue()> provider) {
+  std::lock_guard<std::mutex> lock(transport_mu_);
+  transport_info_ = std::move(provider);
 }
 
 }  // namespace optshare::cluster

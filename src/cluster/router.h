@@ -49,24 +49,34 @@
 // restore it there, then pin it with a placement override and push the new
 // map — the hand-off IS the replication path, exercised on demand.
 //
-// Concurrency: each transport connection gets its own Channel (private
-// NetClient per node), so connections forward in parallel with no shared
-// connection locks; the placement map and owner cache sit under one brief
-// mutex that is never held across a network call.
+// Serving: the router is a service::LineHandler, so clients reach it
+// through the same NetServer a node uses — the connection cap, the
+// write-buffer cap, ordered writeback, drain and the server_info
+// "transport" counters are the node's. SubmitLine parses on the caller's
+// thread with the shared ParseLine (so caps, parse errors and their
+// versions answer exactly as a node's do) and posts the routing to the
+// router's own pool of kWorkers threads, keyed by connection id: one
+// connection's requests route strictly in order, and different
+// connections forward in parallel. Each worker owns one Channel (private
+// NetClient per node), so channels are confined to one thread and need no
+// locks. A connection has no thread of its own: a slow forward delays the
+// other connections whose ids share its worker. The placement map and
+// owner cache sit under one brief mutex that is never held across a
+// network call.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "cluster/placement.h"
-#include "common/net.h"
+#include "common/thread_pool.h"
+#include "service/dispatch.h"
 #include "service/net_client.h"
 #include "service/protocol.h"
 
@@ -81,15 +91,18 @@ struct RouterOptions {
                                             /*backoff_ms=*/50};
   /// Request-line cap, mirroring MarketplaceServer's.
   size_t max_request_bytes = service::protocol::kDefaultMaxRequestBytes;
-  /// Line cap for v3 batch frames, mirroring MarketplaceServer's: batch
-  /// lines frame under max(max_request_bytes, max_batch_request_bytes);
-  /// everything else still answers the plain-cap rejection.
+  /// Line cap for v3 batch frames, mirroring MarketplaceServer's (see
+  /// service::BatchLineCap).
   size_t max_batch_request_bytes =
       service::protocol::kDefaultMaxBatchRequestBytes;
 };
 
-class ClusterRouter {
+class ClusterRouter : public service::LineHandler {
  public:
+  /// Routing threads. At least one per connection of the benches' widest
+  /// sweep (8), so those connections never share a worker.
+  static constexpr int kWorkers = 8;
+
   explicit ClusterRouter(RouterOptions options);
 
   ClusterRouter(const ClusterRouter&) = delete;
@@ -101,8 +114,12 @@ class ClusterRouter {
     std::map<std::string, service::NetClient> clients;  ///< node id → conn.
   };
 
-  /// The router's HandleLine: parse one request line, route it, return the
-  /// serialized response line. Parse errors answer locally, like a node.
+  /// LineHandler: parses `line` and routes it on the connection's worker.
+  bool SubmitLine(uint64_t connection_id, const std::string& line,
+                  service::LineCallback done) override;
+
+  /// Synchronous form of SubmitLine over the caller's own channel: parse
+  /// one request line, route it, return the serialized response line.
   std::string RouteLine(const std::string& line, Channel* channel);
 
   /// Typed form of RouteLine (the in-process test surface).
@@ -117,18 +134,21 @@ class ClusterRouter {
                    Channel* channel);
 
   PlacementMap CurrentPlacement() const;
-  /// The router's own server_info payload.
+  /// The router's own server_info payload (plus "transport" while a
+  /// NetServer serves the router).
   JsonValue InfoJson() const;
-  bool shutdown_requested() const { return shutdown_requested_.load(); }
-  size_t max_request_bytes() const { return options_.max_request_bytes; }
-  /// Effective framing cap for one line: 0 (uncapped) when the plain cap
-  /// is 0, else at least the plain cap — same rule as MarketplaceServer.
-  size_t max_batch_request_bytes() const {
-    if (options_.max_request_bytes == 0) return 0;
-    return options_.max_batch_request_bytes > options_.max_request_bytes
-               ? options_.max_batch_request_bytes
-               : options_.max_request_bytes;
+  bool shutdown_requested() const override {
+    return shutdown_requested_.load();
   }
+  size_t max_batch_request_bytes() const override {
+    return service::BatchLineCap(options_.max_request_bytes,
+                                 options_.max_batch_request_bytes);
+  }
+  std::string OversizedLineResponse() const override {
+    return service::OversizedLineResponse(options_.max_request_bytes);
+  }
+  void SetTransportInfoProvider(
+      std::function<JsonValue()> provider) override;
 
  private:
   using Request = service::protocol::Request;
@@ -185,45 +205,13 @@ class ClusterRouter {
   std::atomic<uint64_t> placement_pushes_{0};
   std::atomic<uint64_t> rebalances_{0};
   std::atomic<uint64_t> stale_reads_{0};  ///< Reports served degraded.
-};
 
-/// RouterServer: the TCP front end of a ClusterRouter. Thread-per-
-/// connection with blocking I/O — the router's work is forwarding round
-/// trips, so a poll loop would serialize them; threads keep each client's
-/// pipeline independent, and each thread owns its Channel.
-class RouterServer {
- public:
-  /// `router` must outlive the RouterServer.
-  RouterServer(ClusterRouter* router, std::string host = "127.0.0.1",
-               uint16_t port = 0);
-  ~RouterServer();
+  mutable std::mutex transport_mu_;  ///< Guards transport_info_; held
+                                     ///< across the provider call.
+  std::function<JsonValue()> transport_info_;
 
-  RouterServer(const RouterServer&) = delete;
-  RouterServer& operator=(const RouterServer&) = delete;
-
-  /// Binds + listens + starts the accept loop. port() is bound after.
-  Status Start();
-  /// Blocks until a wire shutdown drains the router (or Stop).
-  void Wait();
-  /// Abrupt stop: closes the listener and joins connection threads.
-  void Stop();
-
-  uint16_t port() const { return port_; }
-
- private:
-  void AcceptLoop();
-  void Serve(net::Socket socket);
-
-  ClusterRouter* router_;
-  std::string host_;
-  uint16_t requested_port_ = 0;
-  uint16_t port_ = 0;
-  net::Socket listener_;
-  std::thread accept_thread_;
-  std::mutex threads_mu_;
-  std::vector<std::thread> connection_threads_;
-  std::atomic<bool> stop_{false};
-  std::atomic<bool> started_{false};
+  std::vector<Channel> channels_;  ///< One per pool worker, by shard.
+  ThreadPool pool_;  ///< Last member: its tasks use everything above.
 };
 
 }  // namespace optshare::cluster

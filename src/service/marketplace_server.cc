@@ -488,36 +488,32 @@ Response MarketplaceServer::Handle(Request request) {
   return Dispatch(std::move(request)).get();
 }
 
-std::string MarketplaceServer::HandleLine(const std::string& line) {
-  // Parse under the batch line cap (the larger budget), but keep every
-  // non-batch line answering under the plain cap — byte-identical to the
-  // pre-batch server for all old inputs, including over-cap garbage. The
-  // re-parse below fails at the size check before touching the bytes.
+bool MarketplaceServer::SubmitLine(uint64_t /*connection_id*/,
+                                   const std::string& line,
+                                   LineCallback done) {
   Result<Request> request =
-      protocol::ParseRequestLine(line, max_batch_request_bytes());
-  if (max_request_bytes_ > 0 && line.size() > max_request_bytes_ &&
-      !(request.ok() && request->op == RequestOp::kBatch)) {
-    request = protocol::ParseRequestLine(line, max_request_bytes_);
-  }
+      ParseLine(line, max_request_bytes_, max_batch_request_bytes());
   if (!request.ok()) {
-    // The client's version is unknowable from an unparseable line; answer
-    // with the oldest version so every client generation can read it.
-    Response error = ErrorResponse("", request.status());
-    error.version = protocol::kMinProtocolVersion;
-    return protocol::FormatResponseLine(error);
+    done(ErrorLine(request.status()));
+    return false;
   }
-  if (request->op == RequestOp::kBatch) {
-    // Hand the raw frame along so a single-tenancy batch journals it
-    // verbatim instead of re-serializing every member.
-    auto promise = std::make_shared<std::promise<Response>>();
-    std::future<Response> response = promise->get_future();
-    DispatchCallback(
-        std::move(*request),
-        [promise](Response resolved) { promise->set_value(std::move(resolved)); },
-        &line);
-    return protocol::FormatResponseLine(response.get());
-  }
-  return protocol::FormatResponseLine(Handle(std::move(*request)));
+  const bool is_shutdown = request->op == RequestOp::kShutdown;
+  DispatchCallback(
+      std::move(*request),
+      [done = std::move(done)](Response response) {
+        DeliverResponse(response, done);
+      },
+      &line);
+  return is_shutdown;
+}
+
+std::string MarketplaceServer::HandleLine(const std::string& line) {
+  auto promise = std::make_shared<std::promise<std::string>>();
+  std::future<std::string> response = promise->get_future();
+  SubmitLine(0, line, [promise](std::string_view resolved) {
+    promise->set_value(std::string(resolved));
+  });
+  return response.get();
 }
 
 void MarketplaceServer::Drain() { pool_.Drain(); }

@@ -27,13 +27,16 @@
 // open when the process died. The default MemoryStateStore keeps the
 // pre-durability behavior; FileStateStore persists across processes.
 //
+// As a LineHandler (service/dispatch.h) the server is what a node's
+// transports serve: SubmitLine is the one wire entry point, and HandleLine
+// is SubmitLine plus a wait.
+//
 // Replaying a recorded request stream through Dispatch/HandleLine yields
 // PeriodReports bit-identical to driving a PricingSession directly with the
 // same tenants (tests/service_server_test.cc); PricingSession and
 // CloudService::RunPeriod remain the embedded single-tenant adapters.
 #pragma once
 
-#include <algorithm>
 #include <atomic>
 #include <functional>
 #include <future>
@@ -47,6 +50,7 @@
 #include "analytics/read_view.h"
 #include "common/thread_pool.h"
 #include "service/admission.h"
+#include "service/dispatch.h"
 #include "service/metrics.h"
 #include "service/pricing_session.h"
 #include "service/protocol.h"
@@ -104,13 +108,13 @@ struct RecoveryStats {
 /// (and printed by `optshare_cli recover`).
 JsonValue ToJson(const RecoveryStats& stats);
 
-class MarketplaceServer {
+class MarketplaceServer : public LineHandler {
  public:
   explicit MarketplaceServer(ServerOptions options = {});
   /// Drains in-flight requests before shutting the pool down. Does NOT
   /// checkpoint (a destructor-only exit models a crash); call Shutdown()
   /// for a graceful, durable exit.
-  ~MarketplaceServer();
+  ~MarketplaceServer() override;
 
   MarketplaceServer(const MarketplaceServer&) = delete;
   MarketplaceServer& operator=(const MarketplaceServer&) = delete;
@@ -129,11 +133,9 @@ class MarketplaceServer {
   /// for different tenancies run concurrently across workers.
   std::future<protocol::Response> Dispatch(protocol::Request request);
 
-  /// Callback form of Dispatch for transports that deliver responses as
-  /// they resolve (the stdin serve loop and the TCP NetServer): `done`
-  /// fires exactly once, on the tenancy's worker thread, and must not
-  /// throw. It may outlive the transport that submitted it — capture
-  /// shared state by shared_ptr.
+  /// Callback form of Dispatch (what SubmitLine dispatches through): `done`
+  /// fires exactly once, on the tenancy's worker thread or inline for a
+  /// read served from the read path, and must not throw.
   /// `raw_line`, when non-null, is the exact wire line `request` was
   /// parsed from; batch dispatch reuses it as the journal record for a
   /// single-tenancy batch instead of re-serializing every member. It is
@@ -146,10 +148,14 @@ class MarketplaceServer {
   /// Synchronous convenience: Dispatch + wait.
   protocol::Response Handle(protocol::Request request);
 
-  /// The wire loop's unit of work: parse one request line, execute it,
-  /// serialize the response line (parse errors become error responses, so
-  /// the caller always gets exactly one line back). Lines longer than
-  /// ServerOptions::max_request_bytes answer ResourceExhausted unparsed.
+  /// LineHandler: parses `line` with ParseLine under this server's caps
+  /// and dispatches it (the connection id is unused: per-tenancy sharding
+  /// already orders what must be ordered). The raw line rides along so a
+  /// single-tenancy batch frame journals verbatim.
+  bool SubmitLine(uint64_t connection_id, const std::string& line,
+                  LineCallback done) override;
+
+  /// Synchronous SubmitLine: one request line in, its response line out.
   std::string HandleLine(const std::string& line);
 
   /// Blocks until every request dispatched before the call has finished.
@@ -176,19 +182,16 @@ class MarketplaceServer {
 
   /// Set once a wire `shutdown` request was accepted (or Shutdown ran);
   /// the serve loop polls this to exit its read loop.
-  bool shutdown_requested() const { return shutdown_requested_.load(); }
+  bool shutdown_requested() const override {
+    return shutdown_requested_.load();
+  }
 
   int num_workers() const { return pool_.num_threads(); }
-  /// The request-line cap transports must enforce while framing (the same
-  /// value HandleLine applies when parsing).
-  size_t max_request_bytes() const { return max_request_bytes_; }
-  /// The line cap transports must actually frame at: large enough for a
-  /// legal v3 batch frame. Non-batch lines over max_request_bytes() still
-  /// answer the plain-cap ResourceExhausted after framing. 0 = uncapped
-  /// (mirrors max_request_bytes() == 0).
-  size_t max_batch_request_bytes() const {
-    if (max_request_bytes_ == 0) return 0;
-    return std::max(max_request_bytes_, max_batch_request_bytes_);
+  size_t max_batch_request_bytes() const override {
+    return BatchLineCap(max_request_bytes_, max_batch_request_bytes_);
+  }
+  std::string OversizedLineResponse() const override {
+    return service::OversizedLineResponse(max_request_bytes_);
   }
   const StateStore& store() const { return *store_; }
 
@@ -198,7 +201,8 @@ class MarketplaceServer {
   /// here. The provider runs on a worker thread; uninstalling blocks until
   /// any in-flight call returns, so the provider may reference state the
   /// caller is about to destroy.
-  void SetTransportInfoProvider(std::function<JsonValue()> provider);
+  void SetTransportInfoProvider(
+      std::function<JsonValue()> provider) override;
 
   /// Installs (or, with nullptr, removes) the handler for the wire
   /// `cluster_update` op — a cluster node registers its placement-map

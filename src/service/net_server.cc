@@ -16,23 +16,16 @@ namespace optshare::service {
 namespace {
 
 /// Requests in flight per connection before the loop stops reading from it
-/// (natural TCP backpressure toward a firehose client); mirrors the stdin
-/// loop's bounded in-flight window.
+/// (natural TCP backpressure toward a firehose client).
 constexpr int kMaxPendingPerConnection = 512;
 
 /// Bytes read per recv() call in the event loop.
 constexpr size_t kReadChunkBytes = 64 * 1024;
 
-/// How long a graceful drain waits for clients to read their final
-/// responses before force-closing them (a client that never drains its
-/// shutdown response must not wedge Wait()).
+/// How long a graceful drain — or a condemned slow reader — may take to
+/// read its final responses before the connection is force-closed (a
+/// client that never drains must not wedge Wait() or hold its buffer).
 constexpr auto kDrainGrace = std::chrono::seconds(5);
-
-std::string ErrorLine(Status status) {
-  protocol::Response error = protocol::ErrorResponse("", std::move(status));
-  error.version = protocol::kMinProtocolVersion;
-  return protocol::FormatResponseLine(error);
-}
 
 }  // namespace
 
@@ -55,7 +48,7 @@ JsonValue ToJson(const NetServerStats& stats) {
   return obj;
 }
 
-/// State dispatch callbacks touch after the loop (or the NetServer) may be
+/// State handler callbacks touch after the loop (or the NetServer) may be
 /// gone: the wake pipe and the counters. Held by shared_ptr from every
 /// callback, every Connection, and the NetServer itself.
 struct NetServer::Shared {
@@ -118,13 +111,15 @@ struct NetServer::Shared {
 };
 
 /// Per-connection state. The event loop owns the socket, the read-side
-/// LineBuffer and the lifecycle flags below; dispatch callbacks reach the
+/// LineBuffer and the lifecycle flags below; handler callbacks reach the
 /// connection only through writer -> QueueResponse, which takes mu.
 struct NetServer::Connection {
-  Connection(net::Socket sock, std::shared_ptr<Shared> shared_state,
-             size_t line_cap, size_t write_cap_bytes,
-             std::string backpressure_response, double requests_per_sec)
-      : socket(std::move(sock)),
+  Connection(uint64_t connection_id, net::Socket sock,
+             std::shared_ptr<Shared> shared_state, size_t line_cap,
+             size_t write_cap_bytes, std::string backpressure_response,
+             double requests_per_sec)
+      : id(connection_id),
+        socket(std::move(sock)),
         lines(line_cap),
         shared(std::move(shared_state)),
         write_cap(write_cap_bytes),
@@ -136,7 +131,7 @@ struct NetServer::Connection {
   /// response (a worker, or the loop for inline parse errors). Appends the
   /// view straight into the write buffer — the only copy a response makes
   /// between the worker's scratch and the socket. The cap turns a slow
-  /// reader into a final ResourceExhausted line plus close_after_flush.
+  /// reader into a final ResourceExhausted line and condemns it.
   void QueueResponse(std::string_view line) {
     std::lock_guard<std::mutex> lock(mu);
     shared->responses.fetch_add(1, std::memory_order_relaxed);
@@ -146,7 +141,6 @@ struct NetServer::Connection {
     if (write_cap > 0 && out.size() - out_offset > write_cap) {
       overflowed = true;
       stop_reading = true;
-      close_after_flush = true;
       condemned_at = std::chrono::steady_clock::now();
       shared->connections_dropped_backpressure.fetch_add(
           1, std::memory_order_relaxed);
@@ -158,6 +152,7 @@ struct NetServer::Connection {
   /// Bytes queued but not yet accepted by the kernel. Requires mu held.
   size_t UnflushedLocked() const { return out.size() - out_offset; }
 
+  const uint64_t id;  ///< Passed to LineHandler::SubmitLine.
   net::Socket socket;
   net::LineBuffer lines;
   std::shared_ptr<Shared> shared;
@@ -171,8 +166,10 @@ struct NetServer::Connection {
   /// the string is cleared once fully drained.
   size_t out_offset = 0;
   bool stop_reading = false;
+  /// Condemned by backpressure: responses drop, input is read and
+  /// discarded, and once the verdict is flushed the socket half-closes.
   bool overflowed = false;
-  bool close_after_flush = false;
+  bool half_closed = false;  ///< shutdown(SHUT_WR) sent.
   bool dead = false;  ///< Socket closed; late responses are dropped.
   /// When backpressure condemned this connection; after a grace period a
   /// peer that never drains is force-closed, buffer and all.
@@ -185,10 +182,9 @@ struct NetServer::Connection {
   OrderedLineWriter writer;     ///< Last member: sink touches the above.
 };
 
-NetServer::NetServer(MarketplaceServer* server, NetServerOptions options)
-    : server_(server),
+NetServer::NetServer(LineHandler* handler, NetServerOptions options)
+    : handler_(handler),
       options_(std::move(options)),
-      dispatcher_(server),
       shared_(std::make_shared<Shared>()) {}
 
 NetServer::~NetServer() { Stop(); }
@@ -216,7 +212,7 @@ Status NetServer::Start() {
 
   // The wire server_info op now reports this transport's live counters.
   std::shared_ptr<Shared> shared = shared_;
-  server_->SetTransportInfoProvider(
+  handler_->SetTransportInfoProvider(
       [shared] { return ToJson(shared->Snapshot()); });
 
   loop_ = std::thread([this] { Loop(); });
@@ -240,14 +236,14 @@ void NetServer::Stop() {
   Wait();
   // Unregister before the NetServer (whose counters the provider serves)
   // can be destroyed; blocks out any in-flight server_info.
-  server_->SetTransportInfoProvider(nullptr);
+  handler_->SetTransportInfoProvider(nullptr);
   shared_->CloseWake();
 }
 
 NetServerStats NetServer::stats() const { return shared_->Snapshot(); }
 
 void NetServer::Loop() {
-  const std::string oversize_line = dispatcher_.OversizedLineResponse();
+  const std::string oversize_line = handler_->OversizedLineResponse();
   const std::string refusal_line = ErrorLine(Status::ResourceExhausted(
       "connection limit reached (max_connections=" +
       std::to_string(options_.max_connections) + ")"));
@@ -257,6 +253,7 @@ void NetServer::Loop() {
       " bytes: reader too slow; closing"));
 
   std::vector<std::shared_ptr<Connection>> conns;
+  uint64_t next_connection_id = 1;  // 0 is the stdin loop's.
   bool accepting = true;
   bool drain_logged = false;
   std::chrono::steady_clock::time_point drain_start{};
@@ -296,15 +293,18 @@ void NetServer::Loop() {
     return true;
   };
 
-  // Reads everything available and dispatches complete lines. Returns
-  // false on a hard error (caller closes).
+  // Reads everything available and submits complete lines (a condemned
+  // connection's input is read and dropped). Returns false on a hard error
+  // (caller closes).
   const auto read_and_dispatch = [&](const std::shared_ptr<Connection>&
                                          conn) {
     char buf[kReadChunkBytes];
     for (;;) {
+      bool discard = false;
       {
         std::lock_guard<std::mutex> lock(conn->mu);
-        if (conn->stop_reading) return true;
+        discard = conn->overflowed;
+        if (conn->stop_reading && !discard) return true;
       }
       Result<net::IoChunk> got =
           net::ReadChunk(conn->socket.fd(), buf, sizeof(buf));
@@ -317,6 +317,7 @@ void NetServer::Loop() {
       }
       if (got->would_block) return true;
       shared_->bytes_read.fetch_add(got->bytes, std::memory_order_relaxed);
+      if (discard) continue;
       conn->lines.Append(buf, got->bytes);
       // The connection's line scratch persists across reads, so NextLine's
       // assign reuses its capacity instead of growing a fresh string.
@@ -332,7 +333,7 @@ void NetServer::Loop() {
         if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
         // Per-connection admission (loop thread, so the bucket needs no
         // lock): a breaching line is answered, typed and with a retry
-        // hint, without ever reaching the dispatcher.
+        // hint, without ever reaching the handler.
         if (!conn->rate.unlimited()) {
           const TokenBucket::Decision decision = conn->rate.Acquire(1.0);
           if (!decision.admitted) {
@@ -352,8 +353,8 @@ void NetServer::Loop() {
         shared_->requests.fetch_add(1, std::memory_order_relaxed);
         conn->pending.fetch_add(1, std::memory_order_acq_rel);
         const uint64_t slot = conn->writer.Reserve();
-        const bool is_shutdown = dispatcher_.Submit(
-            line, [conn, slot](std::string_view response) {
+        const bool is_shutdown = handler_->SubmitLine(
+            conn->id, line, [conn, slot](std::string_view response) {
               conn->writer.Complete(slot, response);
               conn->pending.fetch_sub(1, std::memory_order_acq_rel);
               conn->shared->Notify();
@@ -377,7 +378,7 @@ void NetServer::Loop() {
   for (;;) {
     if (shared_->stop.load()) break;
     const bool draining =
-        shared_->draining.load() || server_->shutdown_requested();
+        shared_->draining.load() || handler_->shutdown_requested();
     if (draining) {
       if (accepting) {
         accepting = false;
@@ -396,29 +397,37 @@ void NetServer::Loop() {
     }
 
     // Close every connection that has finished its lifecycle: peer gone,
-    // condemned by backpressure with its buffer flushed, or fully drained
+    // condemned by backpressure and closed by its peer, or fully drained
     // during shutdown.
+    const auto now = std::chrono::steady_clock::now();
     for (size_t i = conns.size(); i-- > 0;) {
       const std::shared_ptr<Connection>& conn = conns[i];
       bool close_now = false;
       {
-        // pending == 0 means every submitted callback has already run its
-        // writer.Complete (the decrement follows it), so the writer is
-        // flushed into `out` by construction — no writer-mutex probe here
-        // (that would invert the Complete -> QueueResponse lock order).
         std::lock_guard<std::mutex> lock(conn->mu);
-        const bool idle =
-            conn->pending.load(std::memory_order_acquire) == 0 &&
-            conn->UnflushedLocked() == 0;
-        close_now = idle && (conn->eof_seen || conn->close_after_flush ||
-                             (draining && conn->stop_reading));
-        // A condemned peer that never drains its final error would hold
-        // the connection (and its bounded buffer) forever; after the
-        // grace period it is dropped, unflushed bytes and all.
-        if (!close_now && conn->overflowed &&
-            std::chrono::steady_clock::now() - conn->condemned_at >
-                kDrainGrace) {
-          close_now = true;
+        const bool flushed = conn->UnflushedLocked() == 0;
+        if (conn->overflowed) {
+          // Closing with input still unread would make the kernel send a
+          // reset, which can destroy the final verdict in flight. So the
+          // flushed verdict is followed by a FIN, and the socket closes
+          // once the peer closes too — or, for a peer that never drains,
+          // after the grace period, unflushed bytes and all.
+          if (flushed && !conn->half_closed) {
+            ::shutdown(conn->socket.fd(), SHUT_WR);
+            conn->half_closed = true;
+          }
+          close_now = (conn->eof_seen && flushed) ||
+                      now - conn->condemned_at > kDrainGrace;
+        } else {
+          // pending == 0 means every submitted callback has already run
+          // its writer.Complete (the decrement follows it), so the writer
+          // is flushed into `out` by construction — no writer-mutex probe
+          // here (that would invert the Complete -> QueueResponse lock
+          // order).
+          const bool idle =
+              conn->pending.load(std::memory_order_acquire) == 0 && flushed;
+          close_now = idle && (conn->eof_seen ||
+                               (draining && conn->stop_reading));
         }
       }
       if (close_now) close_connection(i);
@@ -451,9 +460,11 @@ void NetServer::Loop() {
       short events = 0;
       {
         std::lock_guard<std::mutex> lock(conn->mu);
-        if (!conn->stop_reading &&
+        const bool wants_requests =
+            !conn->stop_reading &&
             conn->pending.load(std::memory_order_acquire) <
-                kMaxPendingPerConnection) {
+                kMaxPendingPerConnection;
+        if (!conn->eof_seen && (wants_requests || conn->overflowed)) {
           events |= POLLIN;
         }
         if (conn->UnflushedLocked() > 0) events |= POLLOUT;
@@ -515,8 +526,8 @@ void NetServer::Loop() {
         shared_->connections_accepted.fetch_add(1, std::memory_order_relaxed);
         shared_->connections_open.fetch_add(1, std::memory_order_relaxed);
         conns.push_back(std::make_shared<Connection>(
-            std::move(*accepted), shared_,
-            server_->max_batch_request_bytes(),
+            next_connection_id++, std::move(*accepted), shared_,
+            handler_->max_batch_request_bytes(),
             options_.max_write_buffer_bytes, backpressure_line,
             options_.max_connection_requests_per_sec));
       }

@@ -1,7 +1,7 @@
-// NetServer: the TCP front end of the marketplace. Wraps a
-// MarketplaceServer and serves its newline-delimited wire protocol
-// (service/protocol.h) to N concurrent connections from one poll()-based
-// event loop thread:
+// NetServer: the one TCP front end. Serves the newline-delimited wire
+// protocol (service/protocol.h) of any LineHandler (service/dispatch.h) —
+// a node's MarketplaceServer or the cluster's ClusterRouter — to N
+// concurrent connections from one poll()-based event loop thread:
 //
 //   MarketplaceServer server(options);
 //   NetServer net(&server, {.host = "127.0.0.1", .port = 0});
@@ -12,31 +12,33 @@
 //
 // Guarantees, per connection:
 //   - Responses return in request order (an OrderedLineWriter reorders
-//     completions arriving from different tenancy shards), exactly the
-//     stdin serve loop's contract — both transports share one
-//     RequestDispatcher path, so their bytes cannot diverge.
+//     completions arriving from different worker shards), exactly the
+//     stdin serve loop's contract — both transports hand lines to the same
+//     LineHandler::SubmitLine, so their bytes cannot diverge.
 //   - Framing survives hostile input: connections frame under the
-//     server's max_batch_request_bytes (so a legal v3 batch frame is
+//     handler's max_batch_request_bytes (so a legal v3 batch frame is
 //     never truncated mid-stream); anything longer answers a typed
 //     ResourceExhausted and the rest of the oversize line is discarded
 //     in-stream (common/net.h LineBuffer). Non-batch lines over the plain
-//     max_request_bytes cap answer the same typed rejection from the
-//     dispatcher.
+//     cap answer the same typed rejection from the handler.
 //   - Backpressure is bounded and local: a reader that stops draining
 //     queues at most max_write_buffer_bytes of responses, then gets a
-//     final ResourceExhausted line and a close — it never blocks the
-//     event loop or other connections (the loop only ever does
-//     non-blocking writes).
+//     final ResourceExhausted line — it never blocks the event loop or
+//     other connections (the loop only ever does non-blocking writes).
+//     Its further input is discarded unread, and once the verdict is
+//     flushed the connection half-closes and waits (at most the 5 s drain
+//     grace) for the peer to close, so the kernel never answers unread input
+//     with a reset that would destroy the verdict in flight.
 //   - Disconnects are connection-scoped: requests already dispatched keep
 //     executing on their shards (tenancy state stays consistent), and
 //     their responses are dropped when they resolve.
 //
 // A wire `shutdown` request drains: the listener closes, every connection
 // stops reading, queued responses flush, then the loop exits and Wait()
-// returns — the caller runs MarketplaceServer::Shutdown() for the PR 4
-// checkpoint path. Destroying a NetServer without a shutdown op models a
-// crash (sockets drop mid-stream; a FileStateStore-backed server recovers
-// from its journal).
+// returns — for a MarketplaceServer the caller then runs Shutdown() for
+// the checkpoint path. Destroying a NetServer without a shutdown op models
+// a crash (sockets drop mid-stream; a FileStateStore-backed server
+// recovers from its journal).
 #pragma once
 
 #include <atomic>
@@ -48,6 +50,8 @@
 
 #include "common/net.h"
 #include "service/dispatch.h"
+// Not needed by NetServer itself; kept so `NetServer(&marketplace_server)`
+// call sites compile with this header alone.
 #include "service/marketplace_server.h"
 
 namespace optshare::service {
@@ -82,7 +86,7 @@ struct NetServerStats {
   uint64_t connections_open = 0;
   uint64_t connections_refused = 0;  ///< Over max_connections.
   uint64_t connections_dropped_backpressure = 0;
-  uint64_t requests = 0;            ///< Complete lines handed to dispatch.
+  uint64_t requests = 0;            ///< Complete lines handed to the handler.
   uint64_t responses = 0;           ///< Response lines queued for writing.
   uint64_t oversize_lines = 0;      ///< Lines rejected by the byte cap.
   uint64_t rate_limited_lines = 0;  ///< Lines rejected by the per-connection
@@ -95,16 +99,16 @@ JsonValue ToJson(const NetServerStats& stats);
 
 class NetServer {
  public:
-  /// `server` must outlive the NetServer (and its Stop()/Wait()).
-  explicit NetServer(MarketplaceServer* server, NetServerOptions options = {});
+  /// `handler` must outlive the NetServer (and its Stop()/Wait()).
+  explicit NetServer(LineHandler* handler, NetServerOptions options = {});
   /// Stops the event loop (abrupt close, no checkpoint) if still running.
   ~NetServer();
 
   NetServer(const NetServer&) = delete;
   NetServer& operator=(const NetServer&) = delete;
 
-  /// Binds, listens, registers the transport counters with the wrapped
-  /// server's server_info, and starts the event loop thread. After an OK
+  /// Binds, listens, registers the transport counters with the handler's
+  /// server_info, and starts the event loop thread. After an OK
   /// return, port() is the bound port and clients may connect.
   Status Start();
 
@@ -131,9 +135,8 @@ class NetServer {
 
   void Loop();
 
-  MarketplaceServer* server_;
+  LineHandler* handler_;
   NetServerOptions options_;
-  RequestDispatcher dispatcher_;
   net::Socket listener_;
   uint16_t port_ = 0;
   std::shared_ptr<Shared> shared_;  ///< Outlives the loop: callbacks hold it.

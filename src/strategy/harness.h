@@ -92,7 +92,7 @@ class StrategyHarness {
 
 /// The wire program of a bare trace (no strategist): open_period, slot-major
 /// submit/depart/advance, close_period per period — one request per line,
-/// ready for HandleLine, the dispatcher, or a NetClient. The soak suite and
+/// ready for HandleLine, ServeLines, or a NetClient. The soak suite and
 /// `optshare_cli attack --dry-run` both replay these.
 Result<std::vector<std::string>> TraceRequestLines(const TraceConfig& config,
                                                    const Trace& trace,

@@ -1,12 +1,12 @@
 // TCP transport suite. The load-bearing guarantees:
 //
 //  1. Transport parity — a recorded request stream replayed through (a)
-//     MarketplaceServer::HandleLine, (b) the shared RequestDispatcher +
-//     OrderedLineWriter path the stdin serve loop runs, and (c) a
-//     NetClient -> NetServer round trip over localhost TCP produces
-//     byte-identical response lines. The cap wording, version echo and
-//     error surface cannot diverge between transports because they are one
-//     implementation (service/dispatch.h); this test pins that.
+//     MarketplaceServer::HandleLine, (b) the stdin serve loop (ServeLines
+//     over a pipe), and (c) a NetClient -> NetServer round trip over
+//     localhost TCP produces byte-identical response lines, over-cap lines
+//     and oversized batch frames included. The cap wording, version echo
+//     and error surface cannot diverge between transports because they are
+//     one implementation (service/dispatch.h); this test pins that.
 //
 //  2. The 16-client soak: threaded NetClients each driving their own
 //     tenancy through 3 full billing periods against one NetServer backed
@@ -21,9 +21,14 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -161,8 +166,11 @@ TEST(NetTransportParityTest, TcpAndStdinPathAndHandleLineAgreeByteForByte) {
   config.slots_per_period = kSlots;
 
   // A recorded stream interleaving two tenancies' periods with the error
-  // surface: a parse error, an unknown tenancy, a v1 client using a v2 op,
-  // and an unknown field — every class a transport must answer itself.
+  // surface: a parse error, an unsupported version, an unknown tenancy, a
+  // v1 client using a v2 op, an unknown field, a line over the plain cap,
+  // a line over even the framing cap, and a batch frame over the plain cap
+  // (legal: batch frames get the larger cap) — every class a transport
+  // must answer itself.
   std::vector<std::string> stream;
   const std::vector<simdb::SimUser> acme =
       JitterTenants(scenario->tenants, kSlots, 11);
@@ -184,48 +192,87 @@ TEST(NetTransportParityTest, TcpAndStdinPathAndHandleLineAgreeByteForByte) {
   // period's view — not a transport divergence, and not what this test
   // pins.
   const size_t pipelined = stream.size();
+  // The smallest plain cap every period line fits under, so the caps
+  // below bite on purpose and nowhere else.
+  size_t longest = 0;
+  for (const std::string& line : stream) {
+    longest = std::max(longest, line.size());
+  }
+  ServerOptions options;
+  options.num_workers = 2;
+  options.max_request_bytes = longest + 16;
+  options.max_batch_request_bytes = 4 * options.max_request_bytes;
+  std::string batch = R"({"v":3,"op":"batch","requests":[)";
+  for (int i = 0; batch.size() <= options.max_request_bytes; ++i) {
+    if (i > 0) batch += ",";
+    batch += R"({"v":1,"op":"report","id":"b)" + std::to_string(i) +
+             R"(","tenancy":")" + (i % 2 == 0 ? "acme" : "globex") +
+             "\"}";
+  }
+  batch += "]}";
+  ASSERT_LT(batch.size(), options.max_batch_request_bytes);
+
   stream.push_back("{this is not json");
+  stream.push_back(R"({"v":4,"op":"list_mechanisms"})");
   stream.push_back(R"({"v":1,"op":"report","tenancy":"nobody"})");
   stream.push_back(R"({"v":1,"op":"server_info"})");
   stream.push_back(R"({"v":1,"op":"list_mechanisms","bogus_field":true})");
+  stream.push_back(std::string(options.max_request_bytes + 1, 'x'));
+  stream.push_back(std::string(options.max_batch_request_bytes + 1, 'y'));
+  stream.push_back(batch);
   stream.push_back(R"({"v":1,"op":"report","tenancy":"acme"})");
 
   // (a) HandleLine, the synchronous reference.
   std::vector<std::string> via_handle_line;
   {
-    MarketplaceServer server(ServerOptions{2});
+    MarketplaceServer server(options);
     for (const std::string& line : stream) {
       via_handle_line.push_back(server.HandleLine(line));
     }
   }
 
-  // (b) The stdin serve loop's exact path: RequestDispatcher +
-  // OrderedLineWriter, all requests in flight together.
-  std::vector<std::string> via_dispatcher;
+  // (b) The stdin serve loop, reading the stream from a pipe with every
+  // request of a phase in flight together.
+  std::vector<std::string> via_stdin;
   {
-    MarketplaceServer server(ServerOptions{2});
-    RequestDispatcher dispatcher(&server);
+    MarketplaceServer server(options);
+    int fds[2];
+    ASSERT_EQ(::pipe(fds), 0);
     std::mutex out_mu;
-    OrderedLineWriter writer([&](std::string_view line) {
-      std::lock_guard<std::mutex> lock(out_mu);
-      via_dispatcher.emplace_back(line);
+    std::condition_variable out_cv;
+    std::thread serve([&] {
+      ServeLines(&server, fds[0], [&](std::string_view line) {
+        std::lock_guard<std::mutex> lock(out_mu);
+        via_stdin.emplace_back(line);
+        out_cv.notify_all();
+      });
     });
-    for (size_t i = 0; i < stream.size(); ++i) {
-      if (i == pipelined) server.Drain();  // Ack barrier before the reads.
-      const uint64_t slot = writer.Reserve();
-      dispatcher.Submit(stream[i],
-                        [slot, &writer](std::string_view response) {
-                          writer.Complete(slot, response);
-                        });
+    const auto write_lines = [&](size_t from, size_t to) {
+      for (size_t i = from; i < to; ++i) {
+        const std::string framed = stream[i] + "\n";
+        for (size_t off = 0; off < framed.size();) {
+          const ssize_t n =
+              ::write(fds[1], framed.data() + off, framed.size() - off);
+          ASSERT_GT(n, 0);
+          off += static_cast<size_t>(n);
+        }
+      }
+    };
+    write_lines(0, pipelined);
+    {
+      std::unique_lock<std::mutex> lock(out_mu);
+      out_cv.wait(lock, [&] { return via_stdin.size() == pipelined; });
     }
-    server.Drain();
-    ASSERT_TRUE(writer.Idle());
+    write_lines(pipelined, stream.size());
+    ::close(fds[1]);
+    serve.join();
+    ::close(fds[0]);
   }
 
   // (c) Pipelined over localhost TCP.
   std::vector<std::string> via_tcp;
   {
-    MarketplaceServer server(ServerOptions{2});
+    MarketplaceServer server(options);
     auto net = StartNet(&server);
     NetClient client = MustConnect(*net);
     for (size_t i = 0; i < pipelined; ++i) {
@@ -248,12 +295,21 @@ TEST(NetTransportParityTest, TcpAndStdinPathAndHandleLineAgreeByteForByte) {
   }
 
   ASSERT_EQ(via_handle_line.size(), stream.size());
-  ASSERT_EQ(via_dispatcher.size(), stream.size());
+  ASSERT_EQ(via_stdin.size(), stream.size());
   ASSERT_EQ(via_tcp.size(), stream.size());
   for (size_t i = 0; i < stream.size(); ++i) {
-    EXPECT_EQ(via_handle_line[i], via_dispatcher[i]) << "request " << i;
+    EXPECT_EQ(via_handle_line[i], via_stdin[i]) << "request " << i;
     EXPECT_EQ(via_handle_line[i], via_tcp[i]) << "request " << i;
   }
+  // Both over-cap lines answer the one plain-cap rejection; the batch
+  // frame over the plain cap is served.
+  const std::string oversized =
+      OversizedLineResponse(options.max_request_bytes);
+  EXPECT_EQ(via_handle_line[pipelined + 5], oversized);
+  EXPECT_EQ(via_handle_line[pipelined + 6], oversized);
+  EXPECT_NE(via_handle_line[pipelined + 7].find("\"responses\""),
+            std::string::npos)
+      << via_handle_line[pipelined + 7];
   // And the stream did real pricing: both close_periods carried reports.
   ExpectBitIdentical(ReportFromLine(via_handle_line[6]),
                      ReportFromLine(via_tcp[6]));

@@ -32,13 +32,13 @@
 // ("addoff"/"shapley", "addon", "substoff", "subston") plus the baselines
 // ("naive", "naive_online", "vcg", "regret"). The default is the paper's
 // mechanism for the game's type.
+#include <unistd.h>
+
 #include <cerrno>
-#include <condition_variable>
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
-#include <mutex>
 #include <sstream>
 #include <string>
 
@@ -221,8 +221,9 @@ constexpr SubcommandHelp kSubcommands[] = {
      "router marks it dead, pushes the updated map to the survivors, and\n"
      "restores affected tenancies from their replicas — reads retry\n"
      "transparently; mutations answer a typed error asking the client to\n"
-     "resend. Default listen address is 127.0.0.1:0 (ephemeral, printed\n"
-     "to stderr).\n"
+     "resend. Clients reach the router over the same TCP transport as a\n"
+     "node. Default listen address is :0 (all interfaces, ephemeral port,\n"
+     "printed to stderr).\n"
      "example:\n"
      "  $ optshare_cli node --id node-0 --cluster cluster.json &\n"
      "  $ optshare_cli node --id node-1 --cluster cluster.json &\n"
@@ -294,32 +295,6 @@ int Help(int argc, char** argv) {
   return Fail("unknown subcommand \"" + name + "\"; run `optshare_cli help`");
 }
 
-/// Bounded line reader: like getline, but a line longer than `cap` bytes
-/// is discarded (rest of the line skipped) instead of buffered, so a
-/// hostile or broken client cannot balloon the server's memory. cap 0 =
-/// unlimited.
-enum class LineRead { kOk, kEof, kTooLong };
-
-LineRead ReadBoundedLine(std::istream& in, std::string* line, size_t cap) {
-  line->clear();
-  std::streambuf* buf = in.rdbuf();
-  for (;;) {
-    const int c = buf->sbumpc();
-    if (c == std::char_traits<char>::eof()) {
-      return line->empty() ? LineRead::kEof : LineRead::kOk;
-    }
-    if (c == '\n') return LineRead::kOk;
-    if (cap > 0 && line->size() >= cap) {
-      for (int d = buf->sbumpc(); d != std::char_traits<char>::eof();
-           d = buf->sbumpc()) {
-        if (d == '\n') break;
-      }
-      return LineRead::kTooLong;
-    }
-    line->push_back(static_cast<char>(c));
-  }
-}
-
 Result<strategy::TraceConfig> LoadTraceConfig(const std::string& path) {
   std::ifstream in(path);
   if (!in) return Status::NotFound("cannot open " + path);
@@ -337,13 +312,13 @@ service::ServiceConfig ServiceConfigOf(const strategy::TraceConfig& config) {
   return service_config;
 }
 
-/// The stdin wire loop: one request line in, one response line out, in
-/// request order. Parsing and dispatch go through the same
-/// RequestDispatcher the TCP NetServer uses, and ordering through the same
-/// OrderedLineWriter — responses flush the moment they resolve (never
-/// waiting for the next stdin line), so an interactive client that awaits
-/// its response before sending the next request is never deadlocked
-/// against a blocked getline. With --data-dir, state is
+/// The stdin wire loop (service::ServeLines): one request line in, one
+/// response line out, in request order. Framing, parsing and dispatch are
+/// the TCP NetServer's — the same LineBuffer cap and the same
+/// MarketplaceServer::SubmitLine — and responses flush the moment they
+/// resolve (never waiting for the next stdin line), so an interactive
+/// client that awaits its response before sending the next request is
+/// never deadlocked against a blocked read. With --data-dir, state is
 /// journaled/checkpointed as it changes, startup recovers the directory,
 /// and EOF or a shutdown request checkpoints every tenancy before exit (no
 /// lost final period on pipe close). With --listen HOST:PORT the same
@@ -445,7 +420,7 @@ int Serve(int argc, char** argv) {
   }
 
   // --listen: the TCP front end serves the same MarketplaceServer through
-  // the same dispatcher; Wait() returns once a wire shutdown op drains
+  // the same SubmitLine; Wait() returns once a wire shutdown op drains
   // every connection, and the checkpoint below runs exactly as for stdin.
   if (!listen.empty()) {
     auto host_port = net::ParseHostPort(listen);
@@ -470,58 +445,12 @@ int Serve(int argc, char** argv) {
     return 0;
   }
 
-  service::RequestDispatcher dispatcher(&server);
-  // Only the writer's sink touches stdout: responses flush strictly in
-  // request order, as soon as each completes.
-  service::OrderedLineWriter writer([](std::string_view response) {
+  // Only the sink touches stdout: responses flush strictly in request
+  // order, as soon as each completes.
+  service::ServeLines(&server, STDIN_FILENO, [](std::string_view response) {
     std::cout << response << "\n";
     std::cout.flush();
   });
-  // Bound the in-flight window so a firehose client cannot queue unbounded
-  // work on the pool.
-  std::mutex mu;
-  std::condition_variable cv;
-  size_t inflight = 0;
-
-  std::string line;
-  bool reading = true;
-  while (reading) {
-    switch (ReadBoundedLine(std::cin, &line, max_request_bytes)) {
-      case LineRead::kEof:
-        reading = false;
-        continue;
-      case LineRead::kTooLong:
-        writer.Complete(writer.Reserve(), dispatcher.OversizedLineResponse());
-        continue;
-      case LineRead::kOk:
-        break;
-    }
-    if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
-    {
-      std::unique_lock<std::mutex> lock(mu);
-      cv.wait(lock, [&] { return inflight < 1024; });
-      ++inflight;
-    }
-    const uint64_t slot = writer.Reserve();
-    const bool is_shutdown =
-        dispatcher.Submit(line, [slot, &writer, &mu, &cv,
-                                 &inflight](std::string_view response) {
-          writer.Complete(slot, response);
-          {
-            std::lock_guard<std::mutex> lock(mu);
-            --inflight;
-          }
-          cv.notify_all();
-        });
-    // A shutdown request ends the read loop once acknowledged; whatever
-    // stdin still holds is intentionally unread.
-    if (is_shutdown) reading = false;
-  }
-  {
-    // Every submitted callback references this frame; wait them out.
-    std::unique_lock<std::mutex> lock(mu);
-    cv.wait(lock, [&] { return inflight == 0; });
-  }
   // Graceful exit: drain the pool and checkpoint every tenancy, so the
   // final (possibly still-open) period survives the pipe closing.
   Status shutdown = server.Shutdown();
@@ -746,15 +675,18 @@ int RunClusterRouter(int argc, char** argv) {
   cluster::RouterOptions options;
   options.placement = std::move(*placement);
   cluster::ClusterRouter router(std::move(options));
-  cluster::RouterServer server(&router, host_port->first, host_port->second);
-  Status started = server.Start();
+  service::NetServerOptions net_options;
+  net_options.host = host_port->first;
+  net_options.port = host_port->second;
+  service::NetServer net(&router, net_options);
+  Status started = net.Start();
   if (!started.ok()) return Fail(started.ToString());
   std::cerr << "cluster router serving on "
-            << (host_port->first.empty() ? "127.0.0.1" : host_port->first)
-            << ":" << server.port() << " ("
-            << router.CurrentPlacement().nodes().size() << " nodes); send "
+            << (net.host().empty() ? "0.0.0.0" : net.host()) << ":"
+            << net.port() << " (" << router.CurrentPlacement().nodes().size()
+            << " nodes); send "
             << "{\"v\":2,\"op\":\"shutdown\"} to drain the cluster\n";
-  server.Wait();
+  net.Wait();
   return 0;
 }
 
