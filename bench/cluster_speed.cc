@@ -7,13 +7,21 @@
 //
 //   cluster_speed [--quick] [--out PATH] [--periods P] [--tenants N]
 //
+// Each sweep point runs kRepetitions times on a fresh cluster, in rounds
+// over the whole sweep, and reports the median request rate
+// ("requests_per_sec", the gated number) with the min and max alongside: a
+// single run of a point lasts tens of milliseconds, too short to resolve a
+// 20 % change on its own.
+//
 // The 1-node column is the routing-overhead floor (every request pays one
 // extra hop, no replication); the 3-node column adds consistent-hash
 // spreading plus a synchronous replica stream per journal write — the
 // interesting signal is how much of the fan-out win survives that cost.
+#include <algorithm>
 #include <chrono>
 #include <fstream>
 #include <iostream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <thread>
@@ -41,6 +49,8 @@ using cluster::RouterOptions;
 using service::NetClient;
 using service::protocol::Request;
 using service::protocol::RequestOp;
+
+constexpr int kRepetitions = 5;
 
 struct RunConfig {
   int periods = 2;
@@ -241,30 +251,55 @@ int main(int argc, char** argv) {
     (void)RunSweepPoint(warmup, 1, 1);
   }
 
-  JsonValue sweep = JsonValue::MakeArray();
-  for (int nodes : {1, 3}) {
-    double baseline_rps = 0.0;
-    for (int tenancies : {1, 4, 8}) {
-      const SweepPoint point = RunSweepPoint(config, nodes, tenancies);
-      const double seconds = point.ms_total / 1000.0;
-      const double rps =
-          seconds > 0.0 ? static_cast<double>(point.requests) / seconds : 0.0;
-      if (tenancies == 1) baseline_rps = rps;
-      JsonValue entry = JsonValue::MakeObject();
-      entry.Set("nodes", JsonValue::Number(point.nodes));
-      entry.Set("tenancies", JsonValue::Number(point.tenancies));
-      entry.Set("ms_total", JsonValue::Number(point.ms_total));
-      entry.Set("requests",
-                JsonValue::Number(static_cast<double>(point.requests)));
-      entry.Set("requests_per_sec", JsonValue::Number(rps));
-      entry.Set("speedup_vs_1_tenancy",
-                JsonValue::Number(baseline_rps > 0.0 ? rps / baseline_rps
-                                                     : 0.0));
-      sweep.Append(std::move(entry));
-      std::cout << "nodes " << point.nodes << ", tenancies "
-                << point.tenancies << ": " << point.ms_total << " ms, "
-                << rps << " req/s\n";
+  // The repetitions run as rounds over the whole sweep, so each point's
+  // samples are spread across the run: a host slowdown lasting a few
+  // seconds costs every point one sample instead of one point all of them.
+  struct Sample {
+    double rps;
+    SweepPoint point;
+  };
+  constexpr int kNodeCounts[] = {1, 3};
+  constexpr int kTenancyCounts[] = {1, 4, 8};
+  std::vector<std::vector<Sample>> samples(std::size(kNodeCounts) *
+                                           std::size(kTenancyCounts));
+  for (int r = 0; r < kRepetitions; ++r) {
+    size_t p = 0;
+    for (int nodes : kNodeCounts) {
+      for (int tenancies : kTenancyCounts) {
+        const SweepPoint point = RunSweepPoint(config, nodes, tenancies);
+        const double seconds = point.ms_total / 1000.0;
+        samples[p++].push_back(
+            {seconds > 0.0 ? static_cast<double>(point.requests) / seconds
+                           : 0.0,
+             point});
+      }
     }
+  }
+
+  JsonValue sweep = JsonValue::MakeArray();
+  double baseline_rps = 0.0;
+  for (std::vector<Sample>& runs : samples) {
+    std::sort(runs.begin(), runs.end(),
+              [](const Sample& a, const Sample& b) { return a.rps < b.rps; });
+    const auto& [rps, point] = runs[kRepetitions / 2];
+    if (point.tenancies == 1) baseline_rps = rps;
+    JsonValue entry = JsonValue::MakeObject();
+    entry.Set("nodes", JsonValue::Number(point.nodes));
+    entry.Set("tenancies", JsonValue::Number(point.tenancies));
+    entry.Set("ms_total", JsonValue::Number(point.ms_total));
+    entry.Set("requests",
+              JsonValue::Number(static_cast<double>(point.requests)));
+    entry.Set("requests_per_sec", JsonValue::Number(rps));
+    entry.Set("requests_per_sec_min", JsonValue::Number(runs.front().rps));
+    entry.Set("requests_per_sec_max", JsonValue::Number(runs.back().rps));
+    entry.Set("speedup_vs_1_tenancy",
+              JsonValue::Number(baseline_rps > 0.0 ? rps / baseline_rps
+                                                   : 0.0));
+    sweep.Append(std::move(entry));
+    std::cout << "nodes " << point.nodes << ", tenancies " << point.tenancies
+              << ": median " << rps << " req/s (min " << runs.front().rps
+              << ", max " << runs.back().rps << ", " << kRepetitions
+              << " runs)\n";
   }
 
   JsonValue doc = JsonValue::MakeObject();
@@ -274,6 +309,7 @@ int main(int argc, char** argv) {
   doc.Set("tenants_per_tenancy", JsonValue::Number(config.tenants));
   doc.Set("slots_per_period", JsonValue::Number(config.slots));
   doc.Set("workers_per_node", JsonValue::Number(config.workers));
+  doc.Set("repetitions", JsonValue::Number(kRepetitions));
   doc.Set("mechanism", JsonValue::Str("addon"));
   doc.Set("hardware_threads",
           JsonValue::Number(std::thread::hardware_concurrency()));

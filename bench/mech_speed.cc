@@ -1,5 +1,5 @@
 // Mechanism speed harness: times the unified engine (core/mechanism.h)
-// against the seed's dense-scan implementations (core/reference.h) and
+// against the seed's dense-scan implementations (tests/support/reference.h) and
 // emits BENCH_mechanisms.json — ops/sec per mechanism per user count — so
 // every later PR has a perf trajectory to compare against.
 //
@@ -19,7 +19,7 @@
 #include "common/json.h"
 #include "common/rng.h"
 #include "core/mechanism.h"
-#include "core/reference.h"
+#include "support/reference.h"
 #include "workload/scenario.h"
 
 namespace optshare {

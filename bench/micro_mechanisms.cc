@@ -12,7 +12,7 @@
 #include "astro/astro_workload.h"
 #include "baseline/regret.h"
 #include "core/add_on.h"
-#include "core/reference.h"
+#include "support/reference.h"
 #include "core/shapley.h"
 #include "core/subst_on.h"
 #include "core/serialization.h"

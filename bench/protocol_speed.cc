@@ -1,17 +1,18 @@
 // Wire-protocol hot-path harness: parse + serialize throughput of the
-// single-pass scanner (service/fast_wire.h) against the JsonValue-tree
-// path it shadows, per request kind, plus heap allocations per line from
-// the operator-new counting hook (common/alloc_count.h). Emits
-// BENCH_protocol.json.
+// request codec (protocol::ParseRequestLine) against the JsonValue-tree
+// oracle parser (tests/support/request_oracle.h), per request kind, plus
+// heap allocations per line from the operator-new counting hook
+// (common/alloc_count.h). Emits BENCH_protocol.json; the "fast" keys are
+// the codec and the "tree" keys the oracle.
 //
 //   protocol_speed [--quick] [--out PATH]
 //
 // Three views per request kind (submit with 1 and 32 tenants,
 // advance_slot, report):
-//   - parse: ParseRequestLine (fast path) vs ParseRequestLineTree
+//   - parse: ParseRequestLine vs ParseRequestLineTree
 //   - serialize: AppendResponseLine into a reused scratch vs
 //     ToJson(response).Dump()
-//   - roundtrip: parse + serialize pipelined, fast vs tree — the number
+//   - roundtrip: parse + serialize pipelined, codec vs tree — the number
 //     the CI gate holds at >= 2x for submit (bench/baselines/gates.json).
 #include "common/alloc_count.h"  // Must be first: defines operator new.
 
@@ -22,8 +23,8 @@
 #include <vector>
 
 #include "common/json.h"
-#include "service/fast_wire.h"
 #include "service/protocol.h"
+#include "support/request_oracle.h"
 
 namespace optshare {
 namespace {
@@ -174,18 +175,14 @@ int main(int argc, char** argv) {
 
   JsonValue kinds = JsonValue::MakeArray();
   for (const Workload& w : workloads) {
-    // The fast scanner must actually engage on every benchmarked line;
-    // a silent fallback would "win" by benchmarking the tree twice.
+    // Both parsers must accept every benchmarked line with the same
+    // Request, or the race compares different work.
     {
-      Request probe;
-      if (!protocol::TryFastParseRequestLine(w.line, &probe)) {
-        std::cerr << w.name << ": fast parser fell back; bench is void\n";
-        return 1;
-      }
+      const auto codec = protocol::ParseRequestLine(w.line);
       const auto tree = protocol::ParseRequestLineTree(w.line);
-      if (!tree.ok() ||
-          protocol::ToJson(*tree).Dump() != protocol::ToJson(probe).Dump()) {
-        std::cerr << w.name << ": fast/tree parse mismatch\n";
+      if (!codec.ok() || !tree.ok() ||
+          protocol::ToJson(*tree).Dump() != protocol::ToJson(*codec).Dump()) {
+        std::cerr << w.name << ": codec/tree parse mismatch\n";
         return 1;
       }
     }
@@ -256,7 +253,7 @@ int main(int argc, char** argv) {
               JsonValue::Number(MeasureAllocs(iters / 4 + 1, roundtrip_tree)));
     kinds.Append(std::move(entry));
 
-    std::cout << w.name << ": fast " << (it / rt_fast_s)
+    std::cout << w.name << ": codec " << (it / rt_fast_s)
               << " lines/s, tree " << (it / rt_tree_s) << " lines/s ("
               << (rt_tree_s / rt_fast_s) << "x)\n";
   }

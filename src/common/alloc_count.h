@@ -1,7 +1,7 @@
 // Test-only heap-allocation counting: replaces the global operator
 // new/delete with malloc-backed versions that bump a thread-local counter,
 // so tests and benches can pin "zero allocations per request" as a hard
-// number instead of a hope (tests/service_wire_fast_test.cc,
+// number instead of a hope (tests/service_codec_test.cc,
 // bench/protocol_speed.cc).
 //
 // This header DEFINES the replacement operators — include it in exactly

@@ -183,229 +183,198 @@ void JsonValue::DumpTo(std::string* out, int indent) const {
   optshare::DumpTo(*this, indent, 0, out);
 }
 
+// -- JsonCursor ---------------------------------------------------------------
+
+Status JsonCursor::status() const {
+  if (error_ == nullptr) return Status::OK();
+  return Status::InvalidArgument("JSON parse error at offset " +
+                                 std::to_string(error_pos_) + ": " + error_);
+}
+
+bool JsonCursor::Skip(Token token) {
+  switch (token) {
+    case Token::kNumber: {
+      double ignored = 0.0;
+      return ReadNumber(&ignored);
+    }
+    case Token::kString:
+      return ReadString(nullptr);
+    case Token::kArray:
+    case Token::kObject: {
+      const char close = token == Token::kArray ? ']' : '}';
+      for (bool more = Enter(); more;) {
+        if (token == Token::kObject) {
+          std::string_view key;
+          if (!ReadKey(&key)) return false;
+        }
+        if (!SkipValue()) return false;
+        if (!Next(close, &more)) return false;
+      }
+      return true;
+    }
+    default:
+      return true;  // Literals were consumed by Peek.
+  }
+}
+
+bool JsonCursor::SkipValue() {
+  Token token;
+  if (!Peek(&token)) return false;
+  return Skip(token);
+}
+
+bool JsonCursor::ReadNumber(double* out) {
+  const size_t start = pos_;
+  Consume('-');
+  while (pos_ < text_.size() &&
+         (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
+          text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
+          text_[pos_] == '+' || text_[pos_] == '-')) {
+    ++pos_;
+  }
+  if (pos_ == start) return Fail("expected a value");
+  const auto [ptr, ec] =
+      std::from_chars(text_.data() + start, text_.data() + pos_, *out);
+  if (ec != std::errc() || ptr != text_.data() + pos_) {
+    return Fail("malformed number");
+  }
+  return true;
+}
+
+bool JsonCursor::ReadEscapedString(std::string* out) {
+  if (!Consume('"')) return Fail("expected '\"'");
+  if (out != nullptr) out->clear();
+  while (true) {
+    const size_t run = pos_;
+    while (pos_ < text_.size() && text_[pos_] != '"' && text_[pos_] != '\\') {
+      ++pos_;
+    }
+    if (out != nullptr) out->append(text_.data() + run, pos_ - run);
+    if (pos_ >= text_.size()) return Fail("unterminated string");
+    if (text_[pos_++] == '"') return true;
+    if (pos_ >= text_.size()) return Fail("dangling escape");
+    char decoded = 0;
+    switch (text_[pos_++]) {
+      case '"':
+        decoded = '"';
+        break;
+      case '\\':
+        decoded = '\\';
+        break;
+      case '/':
+        decoded = '/';
+        break;
+      case 'n':
+        decoded = '\n';
+        break;
+      case 't':
+        decoded = '\t';
+        break;
+      case 'r':
+        decoded = '\r';
+        break;
+      case 'b':
+        decoded = '\b';
+        break;
+      case 'f':
+        decoded = '\f';
+        break;
+      case 'u': {
+        if (pos_ + 4 > text_.size()) return Fail("short \\u escape");
+        unsigned code = 0;
+        for (int k = 0; k < 4; ++k) {
+          const char h = text_[pos_++];
+          code <<= 4;
+          if (h >= '0' && h <= '9') {
+            code |= static_cast<unsigned>(h - '0');
+          } else if (h >= 'a' && h <= 'f') {
+            code |= static_cast<unsigned>(h - 'a' + 10);
+          } else if (h >= 'A' && h <= 'F') {
+            code |= static_cast<unsigned>(h - 'A' + 10);
+          } else {
+            return Fail("invalid \\u escape");
+          }
+        }
+        if (out == nullptr) continue;
+        // UTF-8 encode (BMP only; surrogate pairs unsupported).
+        if (code < 0x80) {
+          out->push_back(static_cast<char>(code));
+        } else if (code < 0x800) {
+          out->push_back(static_cast<char>(0xC0 | (code >> 6)));
+          out->push_back(static_cast<char>(0x80 | (code & 0x3F)));
+        } else {
+          out->push_back(static_cast<char>(0xE0 | (code >> 12)));
+          out->push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
+          out->push_back(static_cast<char>(0x80 | (code & 0x3F)));
+        }
+        continue;
+      }
+      default:
+        return Fail("unknown escape");
+    }
+    if (out != nullptr) out->push_back(decoded);
+  }
+}
+
+bool JsonCursor::Finish() {
+  SkipWhitespace();
+  if (pos_ != text_.size()) {
+    return Fail("trailing characters after JSON document");
+  }
+  return true;
+}
+
 namespace {
 
-/// Recursive-descent parser.
-class Parser {
- public:
-  explicit Parser(std::string_view text) : text_(text) {}
-
-  Result<JsonValue> ParseDocument() {
-    SkipWhitespace();
-    Result<JsonValue> v = ParseValue();
-    if (!v.ok()) return v;
-    SkipWhitespace();
-    if (pos_ != text_.size()) {
-      return Error("trailing characters after JSON document");
-    }
-    return v;
-  }
-
- private:
-  Status Error(const std::string& message) const {
-    return Status::InvalidArgument("JSON parse error at offset " +
-                                   std::to_string(pos_) + ": " + message);
-  }
-
-  void SkipWhitespace() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\t' || text_[pos_] == '\n' ||
-            text_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-
-  bool Consume(char c) {
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
+/// Recursive descent over the cursor, materializing the tree.
+bool ParseValue(JsonCursor& cursor, JsonValue* out) {
+  using Token = JsonCursor::Token;
+  Token token;
+  if (!cursor.Peek(&token)) return false;
+  switch (token) {
+    case Token::kNull:
+      *out = JsonValue::Null();
+      return true;
+    case Token::kTrue:
+    case Token::kFalse:
+      *out = JsonValue::Bool(token == Token::kTrue);
+      return true;
+    case Token::kNumber: {
+      double d = 0.0;
+      if (!cursor.ReadNumber(&d)) return false;
+      *out = JsonValue::Number(d);
       return true;
     }
-    return false;
-  }
-
-  bool ConsumeLiteral(std::string_view literal) {
-    if (text_.substr(pos_, literal.size()) == literal) {
-      pos_ += literal.size();
+    case Token::kString: {
+      std::string s;
+      if (!cursor.ReadString(&s)) return false;
+      *out = JsonValue::Str(std::move(s));
       return true;
     }
-    return false;
-  }
-
-  Result<JsonValue> ParseValue() {
-    if (depth_ > kMaxDepth) return Error("nesting too deep");
-    if (pos_ >= text_.size()) return Error("unexpected end of input");
-    const char c = text_[pos_];
-    if (c == 'n') {
-      if (ConsumeLiteral("null")) return JsonValue::Null();
-      return Error("invalid literal");
-    }
-    if (c == 't') {
-      if (ConsumeLiteral("true")) return JsonValue::Bool(true);
-      return Error("invalid literal");
-    }
-    if (c == 'f') {
-      if (ConsumeLiteral("false")) return JsonValue::Bool(false);
-      return Error("invalid literal");
-    }
-    if (c == '"') return ParseString();
-    if (c == '[') return ParseArray();
-    if (c == '{') return ParseObject();
-    return ParseNumber();
-  }
-
-  Result<JsonValue> ParseNumber() {
-    const size_t start = pos_;
-    if (Consume('-')) {
-    }
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '+' || text_[pos_] == '-')) {
-      ++pos_;
-    }
-    if (pos_ == start) return Error("expected a value");
-    double d = 0.0;
-    const auto [ptr, ec] =
-        std::from_chars(text_.data() + start, text_.data() + pos_, d);
-    if (ec != std::errc() || ptr != text_.data() + pos_) {
-      return Error("malformed number");
-    }
-    return JsonValue::Number(d);
-  }
-
-  Result<JsonValue> ParseString() {
-    std::string s;
-    OPTSHARE_RETURN_NOT_OK(ParseRawString(&s));
-    return JsonValue::Str(std::move(s));
-  }
-
-  Status ParseRawString(std::string* out) {
-    if (!Consume('"')) return Error("expected '\"'");
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_++];
-      if (c == '"') return Status::OK();
-      if (c == '\\') {
-        if (pos_ >= text_.size()) return Error("dangling escape");
-        const char esc = text_[pos_++];
-        switch (esc) {
-          case '"':
-            *out += '"';
-            break;
-          case '\\':
-            *out += '\\';
-            break;
-          case '/':
-            *out += '/';
-            break;
-          case 'n':
-            *out += '\n';
-            break;
-          case 't':
-            *out += '\t';
-            break;
-          case 'r':
-            *out += '\r';
-            break;
-          case 'b':
-            *out += '\b';
-            break;
-          case 'f':
-            *out += '\f';
-            break;
-          case 'u': {
-            if (pos_ + 4 > text_.size()) return Error("short \\u escape");
-            unsigned code = 0;
-            for (int k = 0; k < 4; ++k) {
-              const char h = text_[pos_++];
-              code <<= 4;
-              if (h >= '0' && h <= '9') {
-                code |= static_cast<unsigned>(h - '0');
-              } else if (h >= 'a' && h <= 'f') {
-                code |= static_cast<unsigned>(h - 'a' + 10);
-              } else if (h >= 'A' && h <= 'F') {
-                code |= static_cast<unsigned>(h - 'A' + 10);
-              } else {
-                return Error("invalid \\u escape");
-              }
-            }
-            // UTF-8 encode (BMP only; surrogate pairs unsupported).
-            if (code < 0x80) {
-              *out += static_cast<char>(code);
-            } else if (code < 0x800) {
-              *out += static_cast<char>(0xC0 | (code >> 6));
-              *out += static_cast<char>(0x80 | (code & 0x3F));
-            } else {
-              *out += static_cast<char>(0xE0 | (code >> 12));
-              *out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
-              *out += static_cast<char>(0x80 | (code & 0x3F));
-            }
-            break;
-          }
-          default:
-            return Error("unknown escape");
-        }
-      } else {
-        *out += c;
+    case Token::kArray:
+      *out = JsonValue::MakeArray();
+      for (bool more = cursor.Enter(); more;) {
+        JsonValue element;
+        if (!ParseValue(cursor, &element)) return false;
+        out->Append(std::move(element));
+        if (!cursor.Next(']', &more)) return false;
       }
-    }
-    return Error("unterminated string");
+      return true;
+    case Token::kObject:
+      *out = JsonValue::MakeObject();
+      for (bool more = cursor.Enter(); more;) {
+        std::string_view key_view;
+        if (!cursor.ReadKey(&key_view)) return false;
+        std::string key(key_view);  // The view dies with the next key.
+        JsonValue value;
+        if (!ParseValue(cursor, &value)) return false;
+        out->Set(key, std::move(value));
+        if (!cursor.Next('}', &more)) return false;
+      }
+      return true;
   }
-
-  Result<JsonValue> ParseArray() {
-    ++depth_;
-    Consume('[');
-    JsonValue arr = JsonValue::MakeArray();
-    SkipWhitespace();
-    if (Consume(']')) {
-      --depth_;
-      return arr;
-    }
-    while (true) {
-      SkipWhitespace();
-      Result<JsonValue> v = ParseValue();
-      if (!v.ok()) return v;
-      arr.Append(std::move(*v));
-      SkipWhitespace();
-      if (Consume(']')) break;
-      if (!Consume(',')) return Error("expected ',' or ']'");
-    }
-    --depth_;
-    return arr;
-  }
-
-  Result<JsonValue> ParseObject() {
-    ++depth_;
-    Consume('{');
-    JsonValue obj = JsonValue::MakeObject();
-    SkipWhitespace();
-    if (Consume('}')) {
-      --depth_;
-      return obj;
-    }
-    while (true) {
-      SkipWhitespace();
-      std::string key;
-      OPTSHARE_RETURN_NOT_OK(ParseRawString(&key));
-      SkipWhitespace();
-      if (!Consume(':')) return Error("expected ':'");
-      SkipWhitespace();
-      Result<JsonValue> v = ParseValue();
-      if (!v.ok()) return v;
-      obj.Set(key, std::move(*v));
-      SkipWhitespace();
-      if (Consume('}')) break;
-      if (!Consume(',')) return Error("expected ',' or '}'");
-    }
-    --depth_;
-    return obj;
-  }
-
-  static constexpr int kMaxDepth = 128;
-
-  std::string_view text_;
-  size_t pos_ = 0;
-  int depth_ = 0;
-};
+  return true;
+}
 
 }  // namespace
 
@@ -416,7 +385,11 @@ std::string JsonValue::Dump(int indent) const {
 }
 
 Result<JsonValue> JsonValue::Parse(std::string_view text) {
-  return Parser(text).ParseDocument();
+  JsonCursor cursor(text);
+  cursor.SkipWhitespace();
+  JsonValue value;
+  if (!ParseValue(cursor, &value) || !cursor.Finish()) return cursor.status();
+  return value;
 }
 
 Result<double> JsonNumberField(const JsonValue& v, const std::string& key,

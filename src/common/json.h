@@ -88,6 +88,167 @@ class JsonValue {
       value_;
 };
 
+/// The lexer behind JsonValue::Parse, exposed so single-pass decoders (the
+/// wire request codec, service/protocol.h) read JSON with the exact same
+/// rules: whitespace set, string decoding, number charset, the 128-level
+/// nesting limit and the "JSON parse error at offset N: ..." messages.
+///
+/// Walking a document: SkipWhitespace() once, then Peek() each value and
+/// either read it (ReadNumber / ReadString / Enter + ReadKey / Next) or
+/// Skip() it; Finish() rejects trailing characters. Every method returns
+/// false on the first lexical error, which status() then describes; the
+/// cursor is unusable afterwards. (bool, not Status, keeps the per-value
+/// cost of the serving hot path to a branch.)
+class JsonCursor {
+ public:
+  enum class Token { kNull, kTrue, kFalse, kNumber, kString, kArray, kObject };
+
+  explicit JsonCursor(std::string_view text) : text_(text) {}
+
+  std::string_view text() const { return text_; }
+  size_t pos() const { return pos_; }
+  /// OK, or the first lexical error as "JSON parse error at offset N: ...".
+  Status status() const;
+
+  void SkipWhitespace() {
+    while (pos_ < text_.size() &&
+           (text_[pos_] == ' ' || text_[pos_] == '\t' ||
+            text_[pos_] == '\n' || text_[pos_] == '\r')) {
+      ++pos_;
+    }
+  }
+  /// Classifies the next value after checking the depth limit and end of
+  /// input. Literals (null/true/false) are consumed whole; any other value
+  /// is left for the matching Read/Enter/Skip.
+  bool Peek(Token* token) {
+    if (depth_ > kMaxDepth) return Fail("nesting too deep");
+    if (pos_ >= text_.size()) return Fail("unexpected end of input");
+    switch (text_[pos_]) {
+      case 'n':
+        return Literal("null", Token::kNull, token);
+      case 't':
+        return Literal("true", Token::kTrue, token);
+      case 'f':
+        return Literal("false", Token::kFalse, token);
+      case '"':
+        *token = Token::kString;
+        return true;
+      case '[':
+        *token = Token::kArray;
+        return true;
+      case '{':
+        *token = Token::kObject;
+        return true;
+      default:
+        *token = Token::kNumber;
+        return true;
+    }
+  }
+  /// Lexes past the rest of a peeked value without materializing it.
+  bool Skip(Token token);
+  bool SkipValue();
+  bool ReadNumber(double* out);
+  /// Decodes a string into *out (replacing it); nullptr only validates.
+  bool ReadString(std::string* out) {
+    const size_t end = RunEnd(pos_ + 1);
+    if (pos_ < text_.size() && text_[pos_] == '"' && end < text_.size() &&
+        text_[end] == '"') {
+      if (out != nullptr) out->assign(text_.data() + pos_ + 1, end - pos_ - 1);
+      pos_ = end + 1;
+      return true;
+    }
+    return ReadEscapedString(out);
+  }
+  /// Consumes the '[' or '{' of a peeked container and the whitespace after
+  /// it; false (container consumed whole) when it is empty.
+  bool Enter() {
+    const char close = text_[pos_] == '[' ? ']' : '}';
+    ++depth_;
+    ++pos_;
+    SkipWhitespace();
+    if (Consume(close)) {
+      --depth_;
+      return false;
+    }
+    return true;
+  }
+  /// An object key and its ':' separator. The view stays valid until the
+  /// next ReadKey (escaped keys are decoded into cursor-owned scratch).
+  bool ReadKey(std::string_view* key) {
+    const size_t end = RunEnd(pos_ + 1);
+    if (pos_ < text_.size() && text_[pos_] == '"' && end < text_.size() &&
+        text_[end] == '"') {
+      *key = std::string_view(text_.data() + pos_ + 1, end - pos_ - 1);
+      pos_ = end + 1;
+    } else {
+      if (!ReadEscapedString(&key_scratch_)) return false;
+      *key = key_scratch_;
+    }
+    SkipWhitespace();
+    if (!Consume(':')) return Fail("expected ':'");
+    SkipWhitespace();
+    return true;
+  }
+  /// After a container element: ',' sets *more, `close` (']' or '}') ends
+  /// the container.
+  bool Next(char close, bool* more) {
+    SkipWhitespace();
+    *more = false;
+    if (Consume(close)) {
+      --depth_;
+      return true;
+    }
+    if (!Consume(',')) {
+      return Fail(close == ']' ? "expected ',' or ']'" : "expected ',' or '}'");
+    }
+    SkipWhitespace();
+    *more = true;
+    return true;
+  }
+  /// Trailing whitespace, then end of input.
+  bool Finish();
+
+ private:
+  static constexpr int kMaxDepth = 128;
+
+  /// The first index at or after `from` holding '"' or '\\' (or size()).
+  size_t RunEnd(size_t from) const {
+    while (from < text_.size() && text_[from] != '"' && text_[from] != '\\') {
+      ++from;
+    }
+    return from;
+  }
+  bool Literal(std::string_view word, Token literal, Token* token) {
+    if (text_.compare(pos_, word.size(), word) != 0) {
+      return Fail("invalid literal");
+    }
+    pos_ += word.size();
+    *token = literal;
+    return true;
+  }
+  bool Consume(char c) {
+    if (pos_ < text_.size() && text_[pos_] == c) {
+      ++pos_;
+      return true;
+    }
+    return false;
+  }
+  bool Fail(const char* message) {
+    error_ = message;
+    error_pos_ = pos_;
+    return false;
+  }
+  /// The general string decoder (escapes and every lexical error).
+  bool ReadEscapedString(std::string* out);
+
+  std::string_view text_;
+  size_t pos_ = 0;
+  int depth_ = 0;
+  const char* error_ = nullptr;  ///< First lexical error, if any.
+  size_t error_pos_ = 0;
+  std::string key_scratch_;
+};
+
 /// Escapes a string per RFC 8259 (quotes included).
 std::string JsonEscape(std::string_view s);
 /// Append-form JsonEscape: precomputes the escaped length, reserves once,

@@ -98,6 +98,9 @@ template <typename T>
 class Result {
  public:
   /*implicit*/ Result(T value) : value_(std::move(value)) {}
+  /// Default-constructs the value in place, for producers that fill it
+  /// field by field and return it by name (no move of a large T).
+  explicit Result(std::in_place_t) : value_(std::in_place) {}
   /*implicit*/ Result(Status status) : status_(std::move(status)) {
     assert(!status_.ok() && "Result constructed from OK status without value");
   }

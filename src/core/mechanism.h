@@ -11,7 +11,7 @@
 //    point computed by a prefix scan over bids sorted once, O(n log n)
 //    total instead of O(n * rounds). The round count it reports is
 //    identical to the dense loop's, and membership, shares and payments
-//    are bit-identical (see reference.h for the retained dense originals
+//    are bit-identical (see tests/support/reference.h for the dense originals
 //    and tests/core_mechanism_test.cc for the differential suite).
 //  * `engine::RunAddOnEngine` — the AddOn slot loop with per-user residual
 //    state (suffix-sum arenas, arrival/departure buckets) computed once

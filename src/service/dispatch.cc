@@ -33,8 +33,10 @@ size_t BatchLineCap(size_t max_request_bytes,
 Result<protocol::Request> ParseLine(const std::string& line,
                                     size_t max_request_bytes,
                                     size_t framing_cap) {
+  // Above the plain cap only a batch frame can be answered, so the codec
+  // materializes nothing else there.
   Result<protocol::Request> request =
-      protocol::ParseRequestLine(line, framing_cap);
+      protocol::ParseRequestLine(line, framing_cap, max_request_bytes);
   if (max_request_bytes > 0 && line.size() > max_request_bytes &&
       !(request.ok() && request->op == protocol::RequestOp::kBatch)) {
     return Oversized(max_request_bytes);

@@ -54,10 +54,11 @@
 // Parsing is strict: an unknown field, a missing "v", or a version other
 // than kProtocolVersion rejects the document (InvalidArgument), so schema
 // drift fails loudly instead of silently ignoring client intent. Every
-// variant round-trips bit-identically through ToJson/FromJson (numbers use
-// common/json's round-trip formatting), which is what lets a recorded
-// request stream be replayed as a differential test against direct
-// PricingSession calls (tests/service_server_test.cc).
+// request variant round-trips bit-identically through ToJson(...).Dump()
+// and ParseRequestLine (numbers use common/json's round-trip formatting),
+// and every response through ToJson/ResponseFromJson, which is what lets a
+// recorded request stream be replayed as a differential test against
+// direct PricingSession calls (tests/service_server_test.cc).
 #pragma once
 
 #include <cstddef>
@@ -248,9 +249,7 @@ JsonValue ToJson(const ServiceConfig& config);
 JsonValue ToJson(const CatalogSpec& spec);
 JsonValue ToJson(const PeriodReport& report);
 
-Result<Request> RequestFromJson(const JsonValue& v);
 Result<Response> ResponseFromJson(const JsonValue& v);
-Result<simdb::SimUser> SimUserFromJson(const JsonValue& v);
 Result<simdb::TableDef> TableDefFromJson(const JsonValue& v);
 Result<ServiceConfig> ServiceConfigFromJson(const JsonValue& v);
 Result<CatalogSpec> CatalogSpecFromJson(const JsonValue& v);
@@ -259,21 +258,19 @@ Result<PeriodReport> PeriodReportFromJson(const JsonValue& v);
 /// Parses one wire line into a request (strict: version check, unknown
 /// fields rejected). `max_bytes` > 0 rejects longer lines with
 /// ResourceExhausted before parsing (the protocol-robustness cap).
+/// `max_plain_bytes` > 0 admits only a v3 batch frame above that length:
+/// any other longer line is ResourceExhausted, decided without
+/// materializing what only another op would need.
 ///
-/// This is the serving hot path: it first attempts the single-pass,
-/// non-materializing scanner (service/fast_wire.h), which fills the
-/// Request directly from string_view spans without building a JsonValue
-/// tree, and falls back to the tree parser for anything the scanner does
-/// not recognize — so acceptance/rejection semantics (and every error
-/// message) are exactly the tree parser's.
-Result<Request> ParseRequestLine(const std::string& line,
-                                 size_t max_bytes = 0);
-
-/// The original JsonValue-tree parse path, kept callable on its own so the
-/// differential and fuzz suites (and the protocol bench) can pin the fast
-/// scanner against it byte-for-byte.
-Result<Request> ParseRequestLineTree(const std::string& line,
-                                     size_t max_bytes = 0);
+/// This is the one request codec (service/request_codec.cc): a single
+/// pass over the line with common/json.h's JsonCursor fills the Request
+/// directly — no JsonValue tree except for the cold nested payloads
+/// (catalog/config, snapshot, placement) — and produces every accept,
+/// reject and error message of the strict schema itself. Requests arrive
+/// only through this function: the server, the stdin and TCP transports,
+/// the router and journal replay all call it.
+Result<Request> ParseRequestLine(std::string_view line, size_t max_bytes = 0,
+                                 size_t max_plain_bytes = 0);
 
 /// Serializes a response as one compact wire line (no trailing newline).
 std::string FormatResponseLine(const Response& response);

@@ -1,7 +1,7 @@
 // Cross-mechanism property suite for the unified engine (core/mechanism.h):
 //
 //  * Differential parity: every engine-backed entry point must reproduce
-//    the seed's dense-scan implementations (core/reference.h) exactly —
+//    the seed's dense-scan implementations (tests/support/reference.h) exactly —
 //    serviced sets, payments, shares, and even round counts — on seeded
 //    random games (n up to 1k users, z up to 50 slots).
 //  * Economic properties: budget balance (offline), cost recovery (online),
@@ -24,7 +24,7 @@
 #include "common/rng.h"
 #include "core/accounting.h"
 #include "core/moulin.h"
-#include "core/reference.h"
+#include "support/reference.h"
 #include "workload/scenario.h"
 
 namespace optshare {

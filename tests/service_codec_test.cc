@@ -1,31 +1,35 @@
-// Pins the allocation-free serving hot path (service/fast_wire.h +
-// protocol::AppendResponseLine) against the tree parser/serializer it
-// shadows:
+// Pins the request codec (protocol::ParseRequestLine, one pass over the
+// line — service/request_codec.cc) and the response serializer:
 //
-//   1. Differential parity — every corpus line through ParseRequestLineTree
-//      and the combined ParseRequestLine yields the same accept/reject
-//      decision, the identical Request (compared as canonical JSON), and
-//      the identical error Status. The corpus covers every op, both
-//      protocol versions, permuted field orders, whitespace, escapes,
-//      duplicates, unknown fields, bad versions, and type confusion.
-//   2. Fast-accept soundness — whenever TryFastParseRequestLine accepts,
-//      the tree parser accepts with a bit-identical Request; and the fast
-//      path demonstrably engages on the canonical serving lines (no silent
-//      always-fallback).
-//   3. AppendResponseLine emits exactly ToJson(response).Dump()'s bytes,
+//   1. Oracle parity — every corpus line through the codec and through the
+//      JsonValue-tree oracle (tests/support/request_oracle.h) yields the
+//      same accept/reject decision, the same status text and the identical
+//      Request (compared as canonical JSON). The corpus covers every op,
+//      every protocol version, permuted field orders, whitespace, escapes,
+//      duplicates, unknown fields, bad versions and type confusion.
+//   2. The golden corpus — tests/data/request_rejections.jsonl holds lines
+//      for every op with the exact status text (and, for accepted lines,
+//      the re-serialized Request) the strict schema answers; the codec must
+//      reproduce each byte for byte, with no oracle involved.
+//   3. ToJson -> codec -> ToJson is the identity for every op and version.
+//   4. AppendResponseLine emits exactly ToJson(response).Dump()'s bytes,
 //      appending after any existing prefix.
-//   4. Zero heap allocations per request, steady-state, for parse +
-//      response serialization of the fixed-size ops — counted by the
-//      operator-new hook (common/alloc_count.h), not eyeballed.
+//   5. Zero heap allocations per request, steady-state, for parse +
+//      response serialization of the fixed-size ops, and O(1) allocations
+//      to reject a non-batch line over the plain cap however large it is —
+//      counted by the operator-new hook (common/alloc_count.h).
 #include "common/alloc_count.h"  // Must be first: defines operator new.
 
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <string>
 #include <vector>
 
+#include "service/dispatch.h"
 #include "service/fast_wire.h"
 #include "service/protocol.h"
+#include "support/request_oracle.h"
 
 namespace optshare::service::protocol {
 namespace {
@@ -105,8 +109,8 @@ std::vector<std::string> CanonicalLines() {
   return lines;
 }
 
-/// The adversarial corpus: hand-written lines that probe every divergence
-/// the fast scanner could introduce.
+/// The adversarial corpus: hand-written lines that probe the schema's
+/// ordering, duplicate, escape and lexical rules.
 std::vector<std::string> AdversarialLines() {
   return {
       // Field-order permutations and whitespace.
@@ -125,7 +129,7 @@ std::vector<std::string> AdversarialLines() {
       R"({"v":1,"op":"report","tenancy":"€é"})",
       R"({"v":1,"op":"report","tenancy":"bad\qescape"})",
       R"({"v":1,"op":"report","tenancy":"short\u00"})",
-      // Duplicate keys (tree: last wins; fast must fall back, not reject).
+      // Duplicate keys (the last occurrence wins).
       R"({"v":1,"v":2,"op":"server_info"})",
       R"({"v":1,"op":"report","op":"close_period","tenancy":"acme"})",
       R"({"v":1,"op":"report","tenancy":"a","tenancy":"b"})",
@@ -230,7 +234,7 @@ std::vector<std::string> AdversarialLines() {
       R"({"v":1,"op":"report","tenancy":"acme","slots":1e})",
       R"({"v":1,"op":"report","tenancy":"acme","slots":--1})",
       R"({"v":nan,"op":"report","tenancy":"acme"})",
-      // open_period must route through the tree parser.
+      // open_period's nested payloads.
       R"({"v":1,"op":"open_period","tenancy":"acme"})",
       R"({"v":1,"op":"open_period","tenancy":"acme","catalog":)"
       R"({"scenario":"telemetry","tenants":6,"slots":12}})",
@@ -239,78 +243,176 @@ std::vector<std::string> AdversarialLines() {
   };
 }
 
+struct GoldenLine {
+  std::string line;
+  std::string status;   ///< "OK" or Status::ToString().
+  std::string request;  ///< ToJson(request).Dump() for accepted lines.
+};
+
+std::vector<GoldenLine> GoldenCorpus() {
+  std::ifstream in(std::string(OPTSHARE_TEST_DATA_DIR) +
+                   "/request_rejections.jsonl");
+  EXPECT_TRUE(in.good()) << "tests/data/request_rejections.jsonl missing";
+  std::vector<GoldenLine> corpus;
+  std::string record;
+  while (std::getline(in, record)) {
+    Result<JsonValue> doc = JsonValue::Parse(record);
+    EXPECT_TRUE(doc.ok()) << record;
+    if (!doc.ok()) continue;
+    GoldenLine golden;
+    golden.line = doc->Find("line")->AsString();
+    golden.status = doc->Find("status")->AsString();
+    if (const JsonValue* request = doc->Find("request")) {
+      golden.request = request->AsString();
+    }
+    corpus.push_back(std::move(golden));
+  }
+  return corpus;
+}
+
 std::vector<std::string> FullCorpus() {
   std::vector<std::string> corpus = CanonicalLines();
   const std::vector<std::string> adversarial = AdversarialLines();
   corpus.insert(corpus.end(), adversarial.begin(), adversarial.end());
+  for (const GoldenLine& golden : GoldenCorpus()) {
+    corpus.push_back(golden.line);
+  }
   return corpus;
 }
 
-void ExpectParity(const std::string& line) {
+void ExpectOracleParity(const std::string& line) {
   SCOPED_TRACE("line: " + line);
-  const Result<Request> tree = ParseRequestLineTree(line);
-  const Result<Request> combined = ParseRequestLine(line);
-  ASSERT_EQ(tree.ok(), combined.ok());
-  if (tree.ok()) {
-    EXPECT_EQ(ToJson(*tree).Dump(), ToJson(*combined).Dump());
-    EXPECT_EQ(tree->version, combined->version);
-    EXPECT_EQ(tree->op, combined->op);
+  const Result<Request> oracle = ParseRequestLineTree(line);
+  const Result<Request> codec = ParseRequestLine(line);
+  ASSERT_EQ(oracle.ok(), codec.ok())
+      << (codec.ok() ? oracle.status() : codec.status()).ToString();
+  if (oracle.ok()) {
+    EXPECT_EQ(ToJson(*oracle).Dump(), ToJson(*codec).Dump());
+    EXPECT_EQ(oracle->version, codec->version);
+    EXPECT_EQ(oracle->op, codec->op);
   } else {
-    EXPECT_EQ(tree.status().ToString(), combined.status().ToString());
+    EXPECT_EQ(oracle.status().ToString(), codec.status().ToString());
   }
 }
 
-TEST(FastWireDifferentialTest, CorpusParity) {
-  for (const std::string& line : FullCorpus()) ExpectParity(line);
+TEST(CodecOracleTest, CorpusParity) {
+  for (const std::string& line : FullCorpus()) ExpectOracleParity(line);
 }
 
-TEST(FastWireDifferentialTest, FastAcceptImpliesIdenticalTreeParse) {
+TEST(CodecGoldenTest, EveryLineAnswersItsCheckedInStatus) {
+  const std::vector<GoldenLine> corpus = GoldenCorpus();
+  ASSERT_GE(corpus.size(), 200u);
   size_t accepted = 0;
+  for (const GoldenLine& golden : corpus) {
+    SCOPED_TRACE("line: " + golden.line);
+    const Result<Request> codec = ParseRequestLine(golden.line);
+    if (golden.status == "OK") {
+      ++accepted;
+      ASSERT_TRUE(codec.ok()) << codec.status().ToString();
+      EXPECT_EQ(ToJson(*codec).Dump(), golden.request);
+    } else {
+      ASSERT_FALSE(codec.ok());
+      EXPECT_EQ(codec.status().ToString(), golden.status);
+    }
+  }
+  // The corpus is mostly rejections, and it names every op.
+  EXPECT_LT(accepted, corpus.size() / 4);
+  for (const RequestOp op : kAllRequestOps) {
+    const std::string tag =
+        "\"op\":\"" + std::string(RequestOpName(op)) + "\"";
+    bool named = false;
+    for (const GoldenLine& golden : corpus) {
+      named = named || golden.line.find(tag) != std::string::npos;
+    }
+    EXPECT_TRUE(named) << "no golden line for op " << RequestOpName(op);
+  }
+}
+
+/// A request of `op` with every field its variant carries set.
+Request FullRequest(RequestOp op, int version, bool with_id) {
+  Request request;
+  request.op = op;
+  request.version = version;
+  if (with_id) request.id = "req-\"42\"";
+  if (OpTakesTenancy(op)) request.tenancy = "acme";
+  switch (op) {
+    case RequestOp::kOpenPeriod: {
+      CatalogSpec catalog;
+      catalog.scenario = "telemetry";
+      catalog.scenario_tenants = 5;
+      request.catalog = catalog;
+      ServiceConfig config;
+      config.mechanism = "naive_online";
+      config.maintenance_fraction = 0.125;
+      config.admission.mutating_ops_per_sec = 40;
+      request.config = config;
+      break;
+    }
+    case RequestOp::kSubmit:
+    case RequestOp::kQueryPrice:
+      request.tenants = {SampleTenant(), SampleTenant()};
+      break;
+    case RequestOp::kDepart:
+      request.tenant = 3;
+      break;
+    case RequestOp::kAdvanceSlot:
+      request.slots = 4;
+      break;
+    case RequestOp::kReport:
+      request.period = version >= 2 ? 2 : 0;
+      break;
+    case RequestOp::kReplAppend:
+      request.record = R"({"kind":"advance","slots":1})";
+      break;
+    case RequestOp::kReplCheckpoint:
+      request.snapshot = *JsonValue::Parse(R"({"period":1,"x":[1.5,null]})");
+      break;
+    case RequestOp::kClusterUpdate:
+      request.placement = *JsonValue::Parse(R"({"v":1,"nodes":[]})");
+      break;
+    case RequestOp::kRestore:
+    case RequestOp::kExport:
+      request.tenancy = with_id ? "acme" : "";
+      break;
+    case RequestOp::kBatch:
+      request.requests = {FullRequest(RequestOp::kSubmit, 1, true),
+                          FullRequest(RequestOp::kReport, 2, false)};
+      break;
+    default:
+      break;
+  }
+  return request;
+}
+
+TEST(CodecRoundTripTest, EveryOpAndVersionReserializesIdentically) {
+  size_t checked = 0;
+  for (const RequestOp op : kAllRequestOps) {
+    for (int version = RequestOpMinVersion(op); version <= kProtocolVersion;
+         ++version) {
+      for (const bool with_id : {false, true}) {
+        const std::string line = ToJson(FullRequest(op, version, with_id)).Dump();
+        SCOPED_TRACE("line: " + line);
+        const Result<Request> parsed = ParseRequestLine(line);
+        ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+        EXPECT_EQ(parsed->op, op);
+        EXPECT_EQ(parsed->version, version);
+        EXPECT_EQ(ToJson(*parsed).Dump(), line);
+        ++checked;
+      }
+    }
+  }
+  EXPECT_GE(checked, 2 * kNumRequestOps);
+}
+
+TEST(CodecCompatTest, TryFastParseRequestLineIsTheCodecVerdict) {
   for (const std::string& line : FullCorpus()) {
     SCOPED_TRACE("line: " + line);
-    Request fast;
-    if (!TryFastParseRequestLine(line, &fast)) continue;
-    ++accepted;
-    const Result<Request> tree = ParseRequestLineTree(line);
-    ASSERT_TRUE(tree.ok()) << "fast accepted what the tree rejects: "
-                           << tree.status().ToString();
-    EXPECT_EQ(ToJson(*tree).Dump(), ToJson(fast).Dump());
-  }
-  // The scanner must actually engage — a scanner that always falls back
-  // would pass every parity test while optimizing nothing.
-  EXPECT_GE(accepted, 20u);
-}
-
-TEST(FastWireDifferentialTest, FastPathHandlesCanonicalServingLines) {
-  // The high-volume lines the optimization exists for must not fall back.
-  const std::vector<std::string> hot = {
-      R"({"v":1,"op":"advance_slot","tenancy":"acme","slots":3})",
-      R"({"v":1,"op":"report","tenancy":"acme"})",
-      R"({"v":1,"op":"close_period","tenancy":"acme"})",
-      R"({"v":2,"op":"snapshot","tenancy":"acme","id":"s1"})",
-      R"({"v":1,"op":"depart","tenancy":"acme","tenant":0})",
-      R"({"v":2,"op":"server_info"})",
-      R"({"v":2,"op":"report","tenancy":"acme","period":3})",
-      ToJson([] {
-        Request request;
-        request.op = RequestOp::kSubmit;
-        request.tenancy = "acme";
-        request.tenants = {SampleTenant()};
-        return request;
-      }()).Dump(),
-      ToJson([] {
-        Request request;
-        request.op = RequestOp::kQueryPrice;
-        request.version = 2;
-        request.tenancy = "acme";
-        request.tenants = {SampleTenant()};
-        return request;
-      }()).Dump(),
-  };
-  for (const std::string& line : hot) {
-    SCOPED_TRACE("line: " + line);
-    Request fast;
-    EXPECT_TRUE(TryFastParseRequestLine(line, &fast));
+    const Result<Request> codec = ParseRequestLine(line);
+    Request compat;
+    ASSERT_EQ(TryFastParseRequestLine(line, &compat), codec.ok());
+    if (codec.ok()) {
+      EXPECT_EQ(ToJson(compat).Dump(), ToJson(*codec).Dump());
+    }
   }
 }
 
@@ -391,6 +493,53 @@ TEST(ZeroAllocationTest, FixedSizeOpsParseAndSerializeWithoutHeap) {
   EXPECT_EQ(after - before, 0u)
       << "the wire hot path allocated " << (after - before) << " times over "
       << kIterations * lines.size() << " requests";
+}
+
+
+TEST(ZeroAllocationTest, OversizedNonBatchLinesAreRejectedInConstantAllocations) {
+  constexpr size_t kPlainCap = 1 << 20;
+  constexpr size_t kFramingCap = 8u << 20;
+  // A large array in an unknown field, and a valid-looking submit roster:
+  // neither can be answered with anything but the plain-cap rejection.
+  std::string unknown_array = R"({"v":1,"op":"report","tenancy":"a","x":[0)";
+  while (unknown_array.size() < kPlainCap + 4096) unknown_array += ",0";
+  unknown_array += "]}";
+  const std::string tenant = ToJson(SampleTenant()).Dump();
+  std::string roster = R"({"v":1,"op":"submit","tenancy":"a","tenants":[)";
+  roster += tenant;
+  while (roster.size() < kPlainCap + 4096) roster += "," + tenant;
+  roster += "]}";
+  ASSERT_TRUE(ParseRequestLine(roster).ok());  // Fine under no cap.
+
+  const std::string expected = OversizedLineResponse(kPlainCap);
+  for (const std::string* line : {&unknown_array, &roster}) {
+    const uint64_t before = alloc_count::ThreadAllocations();
+    const Result<Request> parsed = ParseLine(*line, kPlainCap, kFramingCap);
+    const uint64_t allocations = alloc_count::ThreadAllocations() - before;
+    ASSERT_FALSE(parsed.ok());
+    EXPECT_EQ(ErrorLine(parsed.status()), expected);
+    if (alloc_count::AllocationCountingAvailable()) {
+      EXPECT_LE(allocations, 16u)
+          << "rejecting a " << line->size() << "-byte line allocated "
+          << allocations << " times";
+    }
+  }
+
+  // A batch frame over the plain cap is still answered in full.
+  Request batch;
+  batch.op = RequestOp::kBatch;
+  Request member;
+  member.op = RequestOp::kSubmit;
+  member.tenancy = "a";
+  while (batch.requests.size() < 8) {
+    member.tenants.assign(600, SampleTenant());
+    batch.requests.push_back(member);
+  }
+  const std::string frame = ToJson(batch).Dump();
+  ASSERT_GT(frame.size(), kPlainCap);
+  const Result<Request> parsed = ParseLine(frame, kPlainCap, kFramingCap);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(ToJson(*parsed).Dump(), frame);
 }
 
 }  // namespace

@@ -22,12 +22,12 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "service/fast_wire.h"
 #include "service/marketplace_server.h"
 #include "service/net_client.h"
 #include "service/net_server.h"
 #include "service/protocol.h"
 #include "simdb/scenarios.h"
+#include "support/request_oracle.h"
 
 namespace optshare::service {
 namespace {
@@ -105,8 +105,8 @@ std::vector<std::string> BuildCorpus() {
   }
 
   // v3 batch frames: mixed-version members, duplicate ids, two tenancies
-  // in one frame. These seed every mutator AND pin the fast scanner's
-  // batch path against the tree parser in the differential battery.
+  // in one frame. These seed every mutator AND pin the codec's
+  // batch path against the tree oracle in the differential battery.
   {
     Request batch;
     batch.op = RequestOp::kBatch;
@@ -240,53 +240,38 @@ TEST(ProtocolFuzzTest, HandleLineAnswersOneWellFormedResponsePerMutation) {
   EXPECT_GT(errors, kIterations / 2);
 }
 
-// Differential battery for the single-pass scanner (service/fast_wire.h):
-// every mutated line runs through both the fast scanner and the JsonValue
-// tree parser. The fast path is accept-only-when-certain, so the contract
-// under fuzz is exact:
-//
-//   - fast accept  =>  tree accept with a byte-identical re-serialization
-//     (same ops, fields, numbers, escapes — not merely "also ok"), and
-//   - the combined ParseRequestLine (fast first, tree fallback) returns
-//     the same ok-ness and the same status text as the tree parser alone,
-//     so rejection semantics are untouched by the optimization.
-TEST(ProtocolFuzzTest, FastAndTreeParsersAgreeByteForByteUnderMutation) {
+// Differential battery for the request codec (protocol::ParseRequestLine)
+// against the JsonValue-tree oracle (tests/support/request_oracle.h):
+// every mutated line must get the same ok-ness, the same status text and,
+// when accepted, a byte-identical re-serialized Request from both.
+TEST(ProtocolFuzzTest, CodecAndOracleAgreeByteForByteUnderMutation) {
   const std::vector<std::string> corpus = BuildCorpus();
   Rng rng(5150);
-  int fast_accepts = 0;
+  int accepted = 0;
   constexpr int kIterations = 30000;
   for (int i = 0; i < kIterations; ++i) {
     std::string line = corpus[static_cast<size_t>(rng.UniformInt(
         0, static_cast<int64_t>(corpus.size()) - 1))];
-    // Leave some lines unmutated so the fast path demonstrably engages.
+    // Leave some lines unmutated so acceptance is exercised too.
     if (rng.Bernoulli(0.9)) line = Mutate(line, rng);
     if (rng.Bernoulli(0.3)) line = Mutate(line, rng);
 
-    const Result<Request> tree = protocol::ParseRequestLineTree(line);
-    Request fast_out;
-    if (protocol::TryFastParseRequestLine(line, &fast_out)) {
-      ++fast_accepts;
-      ASSERT_TRUE(tree.ok())
-          << "fast accepted a line the tree rejects: " << line;
-      ASSERT_EQ(protocol::ToJson(fast_out).Dump(),
-                protocol::ToJson(*tree).Dump())
-          << "fast/tree field divergence on: " << line;
-    }
-    const Result<Request> combined = protocol::ParseRequestLine(line);
-    ASSERT_EQ(combined.ok(), tree.ok()) << line;
-    if (!combined.ok()) {
-      ASSERT_EQ(combined.status().ToString(), tree.status().ToString())
+    const Result<Request> oracle = protocol::ParseRequestLineTree(line);
+    const Result<Request> codec = protocol::ParseRequestLine(line);
+    ASSERT_EQ(codec.ok(), oracle.ok()) << line;
+    if (!codec.ok()) {
+      ASSERT_EQ(codec.status().ToString(), oracle.status().ToString())
           << "rejection text diverged on: " << line;
     } else {
-      ASSERT_EQ(protocol::ToJson(*combined).Dump(),
-                protocol::ToJson(*tree).Dump())
+      ++accepted;
+      ASSERT_EQ(protocol::ToJson(*codec).Dump(),
+                protocol::ToJson(*oracle).Dump())
           << line;
     }
   }
-  // The battery must actually exercise the fast path, not just its
-  // fallback: unmutated serving lines (submit/depart/advance/...) all
-  // qualify, and some mutations keep lines scannable.
-  EXPECT_GT(fast_accepts, 500);
+  // Unmutated serving lines (submit/depart/advance/...) all parse, and
+  // some mutations keep lines valid.
+  EXPECT_GT(accepted, 500);
 }
 
 TEST(ProtocolFuzzTest, OversizedLinesAreRejectedUnparsed) {
@@ -299,6 +284,43 @@ TEST(ProtocolFuzzTest, OversizedLinesAreRejectedUnparsed) {
     const size_t len =
         static_cast<size_t>(rng.UniformInt(513, 64 * 1024));
     std::string line(len, 'a' + static_cast<char>(i % 26));
+    const std::string response = server.HandleLine(line);
+    EXPECT_NE(response.find("ResourceExhausted"), std::string::npos)
+        << response;
+  }
+  // Well-formed documents over the cap too: valid requests with a long
+  // field, and the same with a schema error the parser would name — the
+  // cap answers first either way.
+  for (int i = 0; i < 200; ++i) {
+    const size_t len =
+        static_cast<size_t>(rng.UniformInt(513, 64 * 1024));
+    std::string line;
+    switch (i % 4) {
+      case 0:
+        line = R"({"v":1,"op":"report","tenancy":")" + std::string(len, 't') +
+               R"("})";
+        break;
+      case 1:
+        line = R"({"v":1,"op":"advance_slot","tenancy":"a","x":[)";
+        while (line.size() < len) line += "1,";
+        line += "1]}";
+        break;
+      case 2:
+        line = R"({"v":2,"op":"query_price","tenancy":"a","tenants":[)";
+        while (line.size() < len) {
+          line += R"({"start":1,"end":2,"executions_per_slot":1,)"
+                  R"("workload":[]},)";
+        }
+        line += R"({"start":1,"end":2,"executions_per_slot":1,)"
+                R"("workload":[]}]})";
+        break;
+      default:
+        line = R"({"v":1,"op":"list_mechanisms","id":")" +
+               std::string(len, 'i') + R"("})";
+        break;
+    }
+    ASSERT_TRUE(protocol::ParseRequestLine(line).ok() || i % 4 == 1)
+        << line.substr(0, 80);
     const std::string response = server.HandleLine(line);
     EXPECT_NE(response.find("ResourceExhausted"), std::string::npos)
         << response;

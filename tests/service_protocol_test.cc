@@ -114,7 +114,7 @@ TEST(RequestParsing, DurabilityOpsRequireVersion2) {
     EXPECT_EQ(RequestOpMinVersion(op), 2) << RequestOpName(op);
     JsonValue doc = ToJson(SampleRequest(op));
     doc.Set("v", JsonValue::Number(1.0));
-    Result<Request> parsed = RequestFromJson(doc);
+    Result<Request> parsed = ParseRequestLine(doc.Dump());
     ASSERT_FALSE(parsed.ok()) << RequestOpName(op);
     EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
     EXPECT_NE(parsed.status().message().find("version"), std::string::npos);
@@ -169,7 +169,7 @@ TEST(RequestParsing, RejectsUnknownFields) {
         RequestOp::kShutdown, RequestOp::kServerInfo}) {
     JsonValue doc = ToJson(SampleRequest(op));
     doc.Set("surprise", JsonValue::Number(1.0));
-    Result<Request> parsed = RequestFromJson(doc);
+    Result<Request> parsed = ParseRequestLine(doc.Dump());
     ASSERT_FALSE(parsed.ok()) << RequestOpName(op);
     EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
     EXPECT_NE(parsed.status().message().find("surprise"), std::string::npos);
@@ -178,7 +178,7 @@ TEST(RequestParsing, RejectsUnknownFields) {
   JsonValue doc = ToJson(SampleRequest(RequestOp::kSubmit));
   doc.AsObject()["tenants"].AsArray()[0].Set("shoe_size",
                                              JsonValue::Number(43.0));
-  EXPECT_FALSE(RequestFromJson(doc).ok());
+  EXPECT_FALSE(ParseRequestLine(doc.Dump()).ok());
 }
 
 TEST(RequestParsing, RejectsBadVersions) {
@@ -186,21 +186,21 @@ TEST(RequestParsing, RejectsBadVersions) {
   for (double v : {1.0, 2.0, 3.0}) {
     JsonValue doc = ToJson(SampleRequest(RequestOp::kReport));
     doc.Set("v", JsonValue::Number(v));
-    EXPECT_TRUE(RequestFromJson(doc).ok()) << v;
+    EXPECT_TRUE(ParseRequestLine(doc.Dump()).ok()) << v;
   }
   // ... a foreign one does not.
   JsonValue doc = ToJson(SampleRequest(RequestOp::kReport));
   doc.Set("v", JsonValue::Number(4.0));
-  Result<Request> parsed = RequestFromJson(doc);
+  Result<Request> parsed = ParseRequestLine(doc.Dump());
   ASSERT_FALSE(parsed.ok());
   EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(parsed.status().message().find("version"), std::string::npos);
   // Nor do fractional or missing versions.
   doc.Set("v", JsonValue::Number(1.5));
-  EXPECT_FALSE(RequestFromJson(doc).ok());
+  EXPECT_FALSE(ParseRequestLine(doc.Dump()).ok());
   JsonValue missing = ToJson(SampleRequest(RequestOp::kReport));
   missing.AsObject().erase("v");
-  EXPECT_FALSE(RequestFromJson(missing).ok());
+  EXPECT_FALSE(ParseRequestLine(missing.Dump()).ok());
 }
 
 TEST(RequestParsing, RejectsMalformedVariants) {

@@ -1,4 +1,4 @@
-#include "core/reference.h"
+#include "support/reference.h"
 
 #include <algorithm>
 #include <cassert>

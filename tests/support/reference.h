@@ -8,8 +8,9 @@
 //  * Benchmarking: bench/mech_speed.cc measures the engine's speedup over
 //    these dense scans (BENCH_mechanisms.json).
 //
-// Do not use these in production paths; they rescan the full user universe
-// every eviction round and every time slot.
+// They live in the optshare_testing support library, which no production
+// library links: they rescan the full user universe every eviction round
+// and every time slot.
 #pragma once
 
 #include "core/add_off.h"
