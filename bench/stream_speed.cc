@@ -8,8 +8,17 @@
 //
 //   stream_speed [--quick] [--out PATH]
 //
-// --quick shrinks the tenant counts (CI smoke); the default sweep goes to
-// n = 100k. No google-benchmark dependency: plain chrono, one JSON doc.
+// It also times PricingSession::AdvanceSlot at the marketplace's billing
+// shape (telemetry catalog, 96-slot periods, 4 arrivals per slot):
+// session_advance reports the mean µs per advance over the first and the
+// last 16 slots of a period (medians over several periods) and their ratio
+// late_vs_early. The roster grows 24-fold between the two windows, so a
+// per-slot cost that grows with the roster (an advisor that rescores the
+// whole period, say) shows as a large ratio on any hardware.
+//
+// --quick shrinks the tenant counts and periods (CI smoke); the default
+// sweep goes to n = 100k. No google-benchmark dependency: plain chrono,
+// one JSON doc.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -21,6 +30,8 @@
 #include "common/json.h"
 #include "common/rng.h"
 #include "core/online_mechanism.h"
+#include "service/pricing_session.h"
+#include "simdb/scenarios.h"
 #include "workload/event_stream.h"
 
 namespace optshare {
@@ -92,6 +103,79 @@ Result<StreamTimings> TimeStream(const SlotEventLog& log) {
   t.per_slot_mean_ms = t.total_ms / static_cast<double>(slot_ms.size());
   std::sort(slot_ms.begin(), slot_ms.end());
   t.per_slot_median_ms = slot_ms[slot_ms.size() / 2];
+  return t;
+}
+
+/// Billing shape of the session_advance entry.
+constexpr int kBillingSlots = 96;
+constexpr int kBillingArrivals = 4;
+constexpr int kBillingWindow = 16;
+
+/// One arriving telemetry tenant: a device lookup at a heavy or light
+/// execution rate, jittered, over [start, end].
+simdb::SimUser BillingTenant(Rng& rng, int start, int end) {
+  simdb::SimUser tenant;
+  tenant.start = start;
+  tenant.end = end;
+  static constexpr double kRates[] = {2500.0, 150.0, 150.0};
+  tenant.executions_per_slot =
+      kRates[rng.UniformInt(0, 2)] * rng.Uniform(0.5, 1.5);
+  simdb::Workload::Entry entry;
+  entry.query.table = "telemetry";
+  entry.query.aggregate = true;
+  entry.query.predicates = {{"device", 2e-7}};
+  tenant.workload.entries.push_back(std::move(entry));
+  return tenant;
+}
+
+double Median(std::vector<double> xs) {
+  std::sort(xs.begin(), xs.end());
+  return xs[xs.size() / 2];
+}
+
+struct AdvanceTimings {
+  double early_us = 0.0;  ///< Median over periods of the first window.
+  double late_us = 0.0;   ///< Median over periods of the last window.
+};
+
+/// Runs `periods` billing-shaped periods, timing every AdvanceSlot.
+Result<AdvanceTimings> TimeSessionAdvance(int periods) {
+  Result<simdb::Scenario> scenario =
+      simdb::TelemetryScenario(8, kBillingSlots);
+  if (!scenario.ok()) return scenario.status();
+  service::ServiceConfig config;
+  config.slots_per_period = kBillingSlots;
+  config.mechanism = "addon";
+  Rng rng(17);
+  std::vector<double> early, late;
+  for (int p = 0; p < periods; ++p) {
+    Result<service::PricingSession> session =
+        service::PricingSession::Open(&scenario->catalog, config);
+    if (!session.ok()) return session.status();
+    std::vector<double> us;
+    for (int slot = 1; slot <= kBillingSlots; ++slot) {
+      for (int a = 0; a < kBillingArrivals; ++a) {
+        const int end = static_cast<int>(rng.UniformInt(slot, kBillingSlots));
+        Result<UserId> id = session->Submit(BillingTenant(rng, slot, end));
+        if (!id.ok()) return id.status();
+      }
+      const auto start = Clock::now();
+      OPTSHARE_RETURN_NOT_OK(session->AdvanceSlot());
+      us.push_back(ElapsedMs(start) * 1e3);
+    }
+    Result<service::PeriodReport> report = session->Close();
+    if (!report.ok()) return report.status();
+    const auto window_mean = [&](size_t from) {
+      double sum = 0.0;
+      for (size_t k = from; k < from + kBillingWindow; ++k) sum += us[k];
+      return sum / kBillingWindow;
+    };
+    early.push_back(window_mean(0));
+    late.push_back(window_mean(us.size() - kBillingWindow));
+  }
+  AdvanceTimings t;
+  t.early_us = Median(early);
+  t.late_us = Median(late);
   return t;
 }
 
@@ -177,9 +261,33 @@ int Main(int argc, char** argv) {
     comparisons.Set("n" + std::to_string(n), std::move(c));
   }
 
+  const int periods = quick ? 9 : 41;
+  Result<AdvanceTimings> advance = TimeSessionAdvance(periods);
+  if (!advance.ok()) {
+    std::cerr << "error: " << advance.status().ToString() << "\n";
+    return 1;
+  }
+  const double late_vs_early = advance->late_us / advance->early_us;
+  std::printf(
+      "session advance (telemetry, %d slots x %d arrivals, %d periods): "
+      "%.1f us/slot early, %.1f us/slot late  ->  %.2fx\n",
+      kBillingSlots, kBillingArrivals, periods, advance->early_us,
+      advance->late_us, late_vs_early);
+  JsonValue session_advance = JsonValue::MakeObject();
+  session_advance.Set("slots", JsonValue::Number(kBillingSlots));
+  session_advance.Set("arrivals_per_slot", JsonValue::Number(kBillingArrivals));
+  session_advance.Set("window_slots", JsonValue::Number(kBillingWindow));
+  session_advance.Set("periods", JsonValue::Number(periods));
+  session_advance.Set("early_us_per_advance",
+                      JsonValue::Number(advance->early_us));
+  session_advance.Set("late_us_per_advance",
+                      JsonValue::Number(advance->late_us));
+  session_advance.Set("late_vs_early", JsonValue::Number(late_vs_early));
+
   JsonValue doc = JsonValue::MakeObject();
   doc.Set("benchmarks", std::move(benchmarks));
   doc.Set("comparisons", std::move(comparisons));
+  doc.Set("session_advance", std::move(session_advance));
 
   std::ofstream out(out_path);
   if (!out) {

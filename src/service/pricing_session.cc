@@ -10,12 +10,11 @@ namespace optshare::service {
 PricingSession::PricingSession(const simdb::Catalog* catalog,
                                ServiceConfig config,
                                std::vector<std::string> built, int period)
-    : catalog_(catalog),
-      config_(std::move(config)),
+    : config_(std::move(config)),
       built_before_(std::move(built)),
       period_(period),
-      model_(catalog),
-      pricing_(config_.pricing) {}
+      advisor_(*catalog, simdb::CostModel(catalog),
+               simdb::PricingModel(config_.pricing), config_.advisor) {}
 
 Result<PricingSession> PricingSession::Open(const simdb::Catalog* catalog,
                                             ServiceConfig config,
@@ -121,13 +120,12 @@ void PricingSession::DeclareTenant(ProposalState& state, UserId i,
 Status PricingSession::IntegratePending() {
   if (integrated_ == roster_.size()) return Status::OK();
 
-  Result<std::vector<simdb::Proposal>> proposals_r =
-      simdb::ProposeOptimizations(*catalog_, model_, pricing_, roster_,
-                                  config_.advisor);
-  if (!proposals_r.ok()) return proposals_r.status();
+  // Only the tenants submitted since the last integration are scored.
+  OPTSHARE_RETURN_NOT_OK(advisor_.Extend(roster_));
 
   std::vector<char> matched(states_.size(), 0);
-  for (const simdb::Proposal& fresh : *proposals_r) {
+  for (const simdb::Proposal* proposal : advisor_.Ranked()) {
+    const simdb::Proposal& fresh = *proposal;
     const std::string name = fresh.spec.DisplayName();
     size_t idx = states_.size();
     for (size_t s = 0; s < states_.size(); ++s) {
@@ -177,22 +175,18 @@ Status PricingSession::IntegratePending() {
     states_.push_back(std::move(state));
   }
 
-  // Structures the fresh run no longer proposes (their benefit ratio fell
-  // with the new roster mix) are still being priced: score the new tenants
-  // against their specs directly.
-  if (std::find(matched.begin(), matched.end(), 0) != matched.end()) {
-    const std::vector<simdb::SimUser> newcomers(
-        roster_.begin() + static_cast<std::ptrdiff_t>(integrated_),
-        roster_.end());
-    for (size_t s = 0; s < matched.size(); ++s) {
-      if (matched[s]) continue;
-      Result<std::vector<double>> savings = simdb::ProposalUserSavings(
-          *catalog_, model_, pricing_, states_[s].spec, newcomers);
-      if (!savings.ok()) return savings.status();
-      for (size_t k = 0; k < newcomers.size(); ++k) {
-        DeclareTenant(states_[s], static_cast<UserId>(integrated_ + k),
-                      (*savings)[k]);
-      }
+  // Structures the advisor no longer proposes (their benefit ratio fell
+  // with the new roster mix, or better candidates pushed them past
+  // max_proposals) are still being priced: score the new tenants against
+  // their specs directly.
+  for (size_t s = 0; s < matched.size(); ++s) {
+    if (matched[s]) continue;
+    Result<std::vector<double>> savings =
+        advisor_.SpecSavings(states_[s].spec, roster_, integrated_);
+    if (!savings.ok()) return savings.status();
+    for (size_t k = 0; k < savings->size(); ++k) {
+      DeclareTenant(states_[s], static_cast<UserId>(integrated_ + k),
+                    (*savings)[k]);
     }
   }
 

@@ -12,10 +12,12 @@
 //   ...
 //   PeriodReport report = session->Close();   // ledger + outcomes
 //
-// The advisor runs lazily at the first AdvanceSlot after submissions: new
-// structure candidates begin pricing at the current slot, and tenants who
-// arrive after a structure was proposed are admitted into its game with
-// their residual value streams. Per-structure pricing is driven through the
+// The advisor (simdb::Advisor) runs lazily at the first AdvanceSlot after
+// submissions and scores only the tenants submitted since its last run, so
+// a slot pays advisor work for its own arrivals. New structure candidates
+// begin pricing at the current slot, and tenants who arrive after a
+// structure was proposed are admitted into its game with their residual
+// value streams. Per-structure pricing is driven through the
 // streaming mechanism surface (core/online_mechanism.h) — natively
 // slot-incremental for "addon", buffered for the baselines — and the
 // ledger accrues as slots run for native mechanisms.
@@ -46,7 +48,8 @@ namespace optshare::service {
 /// One streaming billing period.
 class PricingSession {
  public:
-  /// Opens a period. `catalog` must outlive the session. `built` lists
+  /// Opens a period over `catalog`'s tables (copied; the catalog need not
+  /// outlive the session). `built` lists
   /// structure names carried over from earlier periods (maintenance-only
   /// pricing); `period` is the report's period number. Validates `config`
   /// and resolves its mechanism (baselines included).
@@ -116,7 +119,8 @@ class PricingSession {
   PricingSession(const simdb::Catalog* catalog, ServiceConfig config,
                  std::vector<std::string> built, int period);
 
-  /// Runs the advisor over the roster and folds new tenants/structures in.
+  /// Extends the advisor over the new tenants and folds them and any new
+  /// structures in.
   Status IntegratePending();
   /// Declares tenant `i` into `state` with the given period savings.
   void DeclareTenant(ProposalState& state, UserId i, double savings);
@@ -126,12 +130,11 @@ class PricingSession {
   /// Close-time ledger accrual for buffered mechanisms.
   void AccrueFromResult(ProposalState& state, const MechanismResult& result);
 
-  const simdb::Catalog* catalog_;
   ServiceConfig config_;
   std::vector<std::string> built_before_;
   int period_;
-  simdb::CostModel model_;
-  simdb::PricingModel pricing_;
+  /// Scores each tenant once, when her submission is integrated.
+  simdb::Advisor advisor_;
 
   std::vector<simdb::SimUser> roster_;
   std::vector<TimeSlot> eff_end_;      ///< Roster-indexed effective ends.

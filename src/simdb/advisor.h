@@ -4,11 +4,20 @@
 //
 // For every (table, column) pair filtered by any user's workload, the
 // advisor considers a secondary index and a materialized view (with the
-// view selectivity matched to the predicate), plus one replica per touched
-// table; it scores each candidate by total estimated workload savings per
-// period against its cost and returns those above a benefit threshold.
+// view selectivity matched to the most selective predicate on it), plus
+// one replica per touched table; it scores each candidate by total
+// estimated workload savings per period against its cost and returns those
+// above a benefit threshold.
+//
+// The advisor is incremental: Advisor::Extend scores only the users
+// appended to the roster since its last call, so a streaming session
+// (service/pricing_session.h) pays per slot for that slot's arrivals, not
+// for the whole period roster. ProposeOptimizations is the one-shot form.
 #pragma once
 
+#include <cstddef>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "common/status.h"
@@ -47,23 +56,98 @@ struct AdvisorOptions {
   int max_proposals = 0;
 };
 
+/// Incremental advisor over one growing roster. After Extend(roster),
+/// Proposals() is exactly what ProposeOptimizations(roster) returns — the
+/// same specs, costs and savings, bit for bit, however the roster was
+/// chunked:
+///  * each candidate adds its newcomers' savings to a running total in
+///    roster order, as the one-shot pass does;
+///  * a candidate first seen mid-roster (a newly filtered column or touched
+///    table) is scored over the whole roster;
+///  * a view whose filter selectivity drops gets the new spec and is
+///    rescored from user 0.
+/// Scoring runs in a private scratch catalog (the caller's catalog is only
+/// read, at construction); the advisor is movable.
+class Advisor {
+ public:
+  /// Copies `catalog`'s tables, `model`'s parameters and `pricing`.
+  Advisor(const Catalog& catalog, const CostModel& model,
+          const PricingModel& pricing, AdvisorOptions options = {});
+
+  /// Validates and scores roster[num_users(), roster.size()). `roster`
+  /// must extend the roster of earlier calls. A validation error names the
+  /// first invalid newcomer, as the one-shot pass would, and leaves the
+  /// advisor unchanged.
+  Status Extend(const std::vector<SimUser>& roster);
+
+  /// The current proposals, filtered and ranked as ProposeOptimizations
+  /// ranks them. The pointers stay valid until the next Extend.
+  std::vector<const Proposal*> Ranked() const;
+  /// Copies of Ranked().
+  std::vector<Proposal> Proposals() const;
+
+  /// Per-period savings of users[from, users.size()) for `spec`, scored
+  /// exactly as the proposals are (non-negative). Used to admit tenants
+  /// into structures that are no longer proposed, and to rescore demand
+  /// the roster did not declare.
+  Result<std::vector<double>> SpecSavings(const OptimizationSpec& spec,
+                                          const std::vector<SimUser>& users,
+                                          size_t from = 0);
+
+  /// Roster users scored so far.
+  size_t num_users() const { return base_time_.size(); }
+
+ private:
+  /// The scratch catalog and its cost model; heap-held so the model's
+  /// catalog pointer survives moves of the advisor.
+  struct Scratch {
+    explicit Scratch(const CostModelParams& params)
+        : model(&catalog, params) {}
+    Catalog catalog;
+    CostModel model;
+  };
+  /// One candidate; its first proposal.user_savings.size() roster users
+  /// are scored.
+  struct Candidate {
+    Proposal proposal;
+    int opt_id = -1;  ///< Scratch-catalog id; -1 = spec not yet priced.
+  };
+  /// The index and the view on one filtered (table, column) pair; the
+  /// view's selectivity is the pair's smallest predicate selectivity.
+  struct FilteredColumn {
+    Candidate index;
+    Candidate view;
+  };
+
+  /// Extend after validation: folds the newcomers in and scores them.
+  Status Apply(const std::vector<SimUser>& roster);
+  /// Prices `candidate`'s spec if it is new, then scores the roster users
+  /// it has not scored yet.
+  Status ScoreNewcomers(Candidate& candidate,
+                        const std::vector<SimUser>& roster);
+  /// Period savings of `user` for structure `opt_id`, given the user's
+  /// workload time with no structure.
+  Result<double> UserSavings(const SimUser& user, double base,
+                             int opt_id) const;
+
+  std::unique_ptr<Scratch> scratch_;
+  PricingModel pricing_;
+  AdvisorOptions options_;
+  /// Sticky failure of construction or of scoring after validation.
+  Status broken_;
+  std::vector<double> base_time_;        ///< Roster-indexed, no structure.
+  std::vector<FilteredColumn> columns_;  ///< Sorted by (table, column).
+  std::vector<Candidate> replicas_;      ///< Sorted by table.
+};
+
 /// Analyzes the users' workloads against the catalog and proposes
 /// optimizations. The catalog's existing optimization list is ignored;
-/// proposals are returned ranked by descending benefit ratio.
+/// proposals are returned ranked by descending benefit ratio. One
+/// Advisor::Extend over `users`.
 Result<std::vector<Proposal>> ProposeOptimizations(
     const Catalog& catalog, const CostModel& model,
     const PricingModel& pricing, const std::vector<SimUser>& users,
     const AdvisorOptions& options = {});
-
-/// Per-period savings of a batch of users for one proposal spec, scored
-/// exactly as ProposeOptimizations scores it (one scratch catalog for the
-/// whole batch, non-negative). Used by streaming sessions to admit tenants
-/// into structures proposed before they arrived.
-Result<std::vector<double>> ProposalUserSavings(const Catalog& catalog,
-                                                const CostModel& model,
-                                                const PricingModel& pricing,
-                                                const OptimizationSpec& spec,
-                                                const std::vector<SimUser>& users);
 
 /// Registers the proposals in `catalog` and builds the additive offline
 /// game for one period: bids[i][j] = user i's per-period savings from

@@ -233,13 +233,11 @@ Result<RunMetrics> Measure(const simdb::Catalog& catalog,
     // would have filtered).
     simdb::AdvisorOptions all;
     all.min_benefit_ratio = 0.0;
-    Result<std::vector<simdb::Proposal>> proposals =
-        simdb::ProposeOptimizations(catalog, model, pricing, true_roster,
-                                    all);
-    if (!proposals.ok()) return proposals.status();
+    simdb::Advisor advisor(catalog, model, pricing, all);
+    OPTSHARE_RETURN_NOT_OK(advisor.Extend(true_roster));
     std::map<std::string, const simdb::Proposal*> by_name;
-    for (const simdb::Proposal& proposal : *proposals) {
-      by_name.emplace(proposal.spec.DisplayName(), &proposal);
+    for (const simdb::Proposal* proposal : advisor.Ranked()) {
+      by_name.emplace(proposal->spec.DisplayName(), proposal);
     }
 
     // Per-slot true rates of each identity (interval-independent: scored
@@ -257,8 +255,8 @@ Result<RunMetrics> Measure(const simdb::Catalog& catalog,
       if (!outcome.active) continue;
       const auto found = by_name.find(outcome.name);
       if (found == by_name.end()) continue;
-      Result<std::vector<double>> rates = simdb::ProposalUserSavings(
-          catalog, model, pricing, found->second->spec, one_slot);
+      Result<std::vector<double>> rates =
+          advisor.SpecSavings(found->second->spec, one_slot);
       if (!rates.ok()) return rates.status();
       for (size_t k = 0; k < track.identities.size(); ++k) {
         const UserId u = track.identity_ids[k];

@@ -23,7 +23,7 @@
 //
 // Realized value is rebuilt from StructureOutcome::serviced (who was
 // serviced from which slot) and per-slot true rates recomputed through the
-// advisor's own scoring (ProposalUserSavings on a one-slot copy of the
+// advisor's own scoring (Advisor::SpecSavings on a one-slot copy of the
 // true demand) — declared ledger values are never trusted, which is the
 // whole point. Every run is deterministic: the same options produce
 // bit-identical PeriodReport lines.

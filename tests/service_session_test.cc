@@ -10,11 +10,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 
 #include "baseline/baseline_mechanisms.h"
 #include "common/rng.h"
 #include "core/accounting.h"
 #include "core/mechanism.h"
+#include "service/protocol.h"
 #include "simdb/scenarios.h"
 
 namespace optshare::service {
@@ -291,6 +293,135 @@ TEST(PricingSessionStreaming, DepartBeforeIntegrationDoesNotWedge) {
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   ASSERT_EQ(report->ledger.user_value.size(), 4u);
   EXPECT_TRUE(report->ledger.CostRecovered());
+}
+
+/// Streams one period slot by slot: the tenants of arrivals[t] are
+/// submitted before slot t + 1, and one of the tenants already present
+/// departs every fourth slot. With `move_at` >= 0 the session is moved
+/// before slot move_at + 1 — out of the std::optional that holds it,
+/// through a Result, and back — the way the server relocates sessions.
+Result<PeriodReport> StreamPeriod(
+    const simdb::Catalog& catalog, const ServiceConfig& config,
+    const std::vector<std::vector<simdb::SimUser>>& arrivals, int move_at) {
+  Result<PricingSession> opened = PricingSession::Open(&catalog, config);
+  if (!opened.ok()) return opened.status();
+  std::optional<PricingSession> live;
+  live.emplace(std::move(*opened));
+  for (int slot = 0; slot < config.slots_per_period; ++slot) {
+    if (slot == move_at) {
+      Result<PricingSession> hop(std::move(*live));
+      live.reset();
+      live.emplace(std::move(*hop));
+    }
+    OPTSHARE_RETURN_NOT_OK(
+        live->Submit(arrivals[static_cast<size_t>(slot)]));
+    if (slot % 4 == 3 && live->num_tenants() > 1) {
+      OPTSHARE_RETURN_NOT_OK(live->Depart(slot % live->num_tenants()));
+    }
+    OPTSHARE_RETURN_NOT_OK(live->AdvanceSlot());
+  }
+  return live->Close();
+}
+
+TEST(PricingSessionStreaming, MovedSessionKeepsAdvancingIdentically) {
+  // Clickstream filters two columns, so the advisor holds several
+  // candidates when the session moves.
+  auto scenario = simdb::ClickstreamScenario(8, 24);
+  ASSERT_TRUE(scenario.ok());
+  for (const char* mechanism : {"addon", "naive_online"}) {
+    ServiceConfig config;
+    config.slots_per_period = 24;
+    config.mechanism = mechanism;
+    Rng rng(5);
+    std::vector<std::vector<simdb::SimUser>> arrivals(24);
+    for (int slot = 0; slot < 24; ++slot) {
+      for (simdb::SimUser tenant : simdb::JitterTenants(
+               {scenario->tenants[static_cast<size_t>(slot % 8)],
+                scenario->tenants[static_cast<size_t>((slot + 3) % 8)]},
+               24, rng)) {
+        tenant.start = slot + 1;
+        tenant.end = std::max(tenant.end, tenant.start);
+        arrivals[static_cast<size_t>(slot)].push_back(tenant);
+      }
+    }
+    Result<PeriodReport> unmoved =
+        StreamPeriod(scenario->catalog, config, arrivals, -1);
+    ASSERT_TRUE(unmoved.ok()) << unmoved.status().ToString();
+    ASSERT_GE(unmoved->structures.size(), 2u);
+    for (int move_at : {1, 12, 23}) {
+      Result<PeriodReport> moved =
+          StreamPeriod(scenario->catalog, config, arrivals, move_at);
+      ASSERT_TRUE(moved.ok()) << moved.status().ToString();
+      ExpectSameReport(*unmoved, *moved);
+      EXPECT_EQ(protocol::ToJson(*unmoved).Dump(),
+                protocol::ToJson(*moved).Dump())
+          << mechanism << " moved before slot " << move_at + 1;
+    }
+  }
+}
+
+TEST(PricingSessionStreaming, DisplacedStructureStillAdmitsNewcomers) {
+  // With max_proposals = 1, the cheap tenant-lookup view proposed once
+  // tenant lookups arrive in slot 2 pushes the severity view out of the
+  // proposal set. That view keeps being priced, so the severity scans
+  // arriving later must still be declared into its game: every structure
+  // ends with one candidate per roster tenant its spec saves money for.
+  simdb::Catalog catalog;
+  simdb::TableDef logs;
+  logs.name = "logs";
+  logs.columns = {{"tenant", simdb::ColumnType::kInt64, 100'000},
+                  {"severity", simdb::ColumnType::kInt64, 8}};
+  logs.row_count = 2'000'000'000;
+  ASSERT_TRUE(catalog.AddTable(logs).ok());
+  const auto user = [](const char* column, double selectivity,
+                       double executions, TimeSlot start) {
+    simdb::SimUser u;
+    simdb::Workload::Entry entry;
+    entry.query.table = "logs";
+    entry.query.predicates = {{column, selectivity}};
+    entry.query.aggregate = true;
+    u.workload.entries.push_back(std::move(entry));
+    u.start = start;
+    u.end = 12;
+    u.executions_per_slot = executions;
+    return u;
+  };
+  ServiceConfig config;
+  config.advisor.max_proposals = 1;
+  Result<PricingSession> session = PricingSession::Open(&catalog, config);
+  ASSERT_TRUE(session.ok());
+  std::vector<simdb::SimUser> roster;
+  const auto submit = [&](const simdb::SimUser& u) {
+    roster.push_back(u);
+    return session->Submit(u).ok();
+  };
+  ASSERT_TRUE(submit(user("severity", 0.125, 500.0, 1)));
+  ASSERT_TRUE(session->AdvanceSlot().ok());
+  for (TimeSlot start = 2; start <= 4; ++start) {
+    ASSERT_TRUE(submit(user("tenant", 1e-5, 300.0, start)));
+    ASSERT_TRUE(submit(user("severity", 0.125, 500.0, start)));
+    ASSERT_TRUE(session->AdvanceSlot().ok());
+  }
+  for (int slot = 4; slot < 12; ++slot) {
+    ASSERT_TRUE(session->AdvanceSlot().ok());
+  }
+  Result<PeriodReport> report = session->Close();
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  ASSERT_GE(report->structures.size(), 2u);
+
+  simdb::AdvisorOptions all;
+  all.min_benefit_ratio = 0.0;
+  Result<std::vector<simdb::Proposal>> scored = simdb::ProposeOptimizations(
+      catalog, simdb::CostModel(&catalog),
+      simdb::PricingModel(config.pricing), roster, all);
+  ASSERT_TRUE(scored.ok());
+  for (const StructureOutcome& outcome : report->structures) {
+    int want = -1;
+    for (const simdb::Proposal& p : *scored) {
+      if (p.spec.DisplayName() == outcome.name) want = p.beneficiaries.size();
+    }
+    EXPECT_EQ(outcome.num_candidates, want) << outcome.name;
+  }
 }
 
 TEST(PricingSessionLifecycle, EmptyPeriodClosesCleanly) {
